@@ -8,7 +8,7 @@
       every [interval] finished paths.
     - {!configure_top} — a [top]-style TTY dashboard redrawn in place
       every [refresh_s] seconds: paths/s, frontier depth, solver
-      fraction, cache hit rate, and per-worker health/heartbeat age.
+      fraction, cache hit rate, and per-worker health and last-frame age.
 
     Rates (paths/s, instructions/s) are computed over the window since
     the previous tick; solver fraction and cache hit rate are
@@ -19,7 +19,7 @@ type worker_row = {
   wr_addr : string;     (** peer transport/address, e.g. [pipe:w0] or
                             [tcp:127.0.0.1:51234] *)
   wr_busy : bool;       (** a work unit is currently dispatched to it *)
-  wr_age : float;       (** seconds since its last heartbeat/frame *)
+  wr_age : float;       (** seconds since its last frame (result or pulse) *)
 }
 
 type snapshot = {

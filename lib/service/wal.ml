@@ -83,10 +83,7 @@ let record_of_json j =
   | Some k -> Error (Printf.sprintf "journal: unknown record kind %S" k)
   | None -> Error "journal: record without kind"
 
-let frame r =
-  let payload = Json.to_string (record_to_json r) in
-  Printf.sprintf "{\"crc\":\"0x%08lx\",\"rec\":%s}\n"
-    (Symex.Checkpoint.crc32 payload) payload
+let frame r = Obs.Durable.seal (record_to_json r) ^ "\n"
 
 (* ---- segments ---- *)
 
@@ -111,32 +108,12 @@ let bytes t = t.seg_bytes
 let segment_index t = t.seg
 let needs_rotation t = t.seg_bytes > t.segment_bytes
 
-let write_all fd s =
-  let buf = Bytes.of_string s in
-  let n = Bytes.length buf in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write fd buf !written (n - !written)
-  done
-
 (* One line of a segment -> record.  Returns None on any damage: the
    caller stops replaying the segment there. *)
 let decode_line line =
-  match Json.of_string line with
+  match Obs.Durable.unseal line with
+  | Ok j -> Result.to_option (record_of_json j)
   | Error _ -> None
-  | Ok j ->
-    (match
-       ( Option.bind (Json.member "crc" j) Json.to_string_opt,
-         Json.member "rec" j )
-     with
-     | Some crc, Some rec_ ->
-       let expect =
-         Printf.sprintf "0x%08lx" (Symex.Checkpoint.crc32 (Json.to_string rec_))
-       in
-       if String.lowercase_ascii crc = expect then
-         match record_of_json rec_ with Ok r -> Some r | Error _ -> None
-       else None
-     | _ -> None)
 
 (* Replay one segment: records until the first damaged line, plus the
    count of bytes dropped after it (the damaged line and everything
@@ -215,11 +192,13 @@ let append t r =
   if Chaos.fire Chaos.Journal_truncate then begin
     (* A crash mid-append: half the frame reaches the disk and the
        writing process is gone.  Recovery must drop the torn tail. *)
-    write_all t.fd (String.sub line 0 (String.length line / 2));
+    Symex.Transport.write_all t.fd (Bytes.unsafe_of_string line) 0
+      (String.length line / 2);
     (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
     Unix.kill (Unix.getpid ()) Sys.sigkill
   end;
-  write_all t.fd line;
+  Symex.Transport.write_all t.fd (Bytes.unsafe_of_string line) 0
+    (String.length line);
   Unix.fsync t.fd;
   t.seg_bytes <- t.seg_bytes + String.length line
 

@@ -13,12 +13,11 @@
     {1 On-disk format}
 
     A journal directory holds numbered segments [wal-NNNNNN.log].  Each
-    record is one line:
+    record is one {!Obs.Durable} sealed line — the format checkpoints
+    use too:
 
     {v {"crc":"0xXXXXXXXX","rec":{"kind":...,...}} v}
 
-    where the CRC-32 ({!Symex.Checkpoint.crc32} — the same polynomial
-    as the checkpoint envelope) covers the serialized [rec] value.
     Replay verifies every line; the first bad line of a segment (torn
     tail, corrupt CRC, garbage) stops that segment's replay and the
     remaining bytes are counted in [dropped] — never silently

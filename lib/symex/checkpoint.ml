@@ -25,7 +25,7 @@ type policy = {
   every_s : float;
 }
 
-let version = 1
+let version = 2
 
 let to_json t =
   Json.Obj
@@ -221,38 +221,8 @@ let of_json j =
 (* ------------------------------------------------------------------ *)
 (* On-disk integrity                                                   *)
 
-(* The file format is an envelope around the version-1 payload object:
-   {"format":2,"crc":"0x...","payload":{...}}.  The CRC is CRC-32
-   (IEEE) of the serialized payload text; the printer is deterministic
-   (ints, %.17g floats and escaped strings all round-trip), so the
-   loader re-serializes the parsed payload and compares.  Bare
-   version-1 files (no envelope) are still accepted. *)
-
-let format_version = 2
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-       let i =
-         Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-       in
-       c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+(* The file is one {!Obs.Durable} sealed line holding the payload
+   object, plus a newline. *)
 
 let backup_path path = path ^ ".bak"
 
@@ -266,11 +236,7 @@ let fallback_metric =
        "symsysc_checkpoint_fallbacks_total")
 
 let save path t =
-  let payload = Json.to_string (to_json t) in
-  let doc =
-    Printf.sprintf "{\"format\":%d,\"crc\":\"0x%08lx\",\"payload\":%s}"
-      format_version (crc32 payload) payload
-  in
+  let doc = Obs.Durable.seal (to_json t) in
   (* The chaos point simulates a write torn by a crash or a bad disk:
      the new file is damaged, but the .bak rotation below still holds
      the previous good snapshot for [load] to fall back to. *)
@@ -282,38 +248,10 @@ let save path t =
   if Sys.file_exists path then Sys.rename path (backup_path path);
   Obs.Json.write_atomic path (doc ^ "\n")
 
-let decode j =
-  match Json.member "payload" j with
-  | None -> of_json j (* bare version-1 file *)
-  | Some payload ->
-    let ( let* ) = Result.bind in
-    let* () =
-      match Option.bind (Json.member "format" j) Json.to_int_opt with
-      | Some v when v = format_version -> Ok ()
-      | Some v ->
-        Error (Printf.sprintf "checkpoint: unsupported format %d" v)
-      | None -> Error "checkpoint: missing format version"
-    in
-    let* crc =
-      match Option.bind (Json.member "crc" j) Json.to_string_opt with
-      | Some s ->
-        (match Int64.of_string_opt s with
-         | Some v -> Ok (Int64.to_int32 v)
-         | None -> Error "checkpoint: malformed crc")
-      | None -> Error "checkpoint: missing crc"
-    in
-    let* () =
-      let actual = crc32 (Json.to_string payload) in
-      if Int32.equal actual crc then Ok ()
-      else
-        Error
-          (Printf.sprintf "checkpoint: crc mismatch (stored 0x%08lx, computed 0x%08lx)"
-             crc actual)
-    in
-    of_json payload
-
 let load_file path =
-  match Json.load path with Error e -> Error e | Ok j -> decode j
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | doc -> Result.bind (Obs.Durable.unseal (String.trim doc)) of_json
 
 let load path =
   match load_file path with

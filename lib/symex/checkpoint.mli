@@ -9,14 +9,14 @@
     resumed run replays them without consulting the solver and reaches
     byte-identical verdicts, path totals and bug sites.
 
-    Checkpoints are single-line JSON written atomically
-    (tmp-and-rename), so a run killed mid-write never leaves a torn
-    file behind.  The on-disk form is an integrity envelope —
-    [{"format":2,"crc":"0x...","payload":{...}}] — whose CRC-32 covers
-    the serialized payload; {!save} rotates the previous file to
-    [<path>.bak] before installing the new one, and {!load} falls back
-    to the backup when the primary file is missing, torn or fails the
-    CRC, so one corrupted write never strands a resumable campaign. *)
+    Checkpoints are one {!Obs.Durable} sealed line — the CRC-32 framed
+    [{"crc":"0x...","rec":{...}}] form the campaign journal uses too —
+    written atomically (tmp-and-rename), so a run killed mid-write
+    never leaves a torn file behind.  {!save} rotates the previous
+    file to [<path>.bak] before installing the new one, and {!load}
+    falls back to the backup when the primary file is missing, torn or
+    fails the CRC, so one corrupted write never strands a resumable
+    campaign. *)
 
 type t = {
   label : string;            (** testbench name, checked on resume *)
@@ -64,7 +64,7 @@ val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
 
 val save : string -> t -> unit
-(** Atomic write of the integrity envelope; an existing file at [path]
+(** Atomic write of the sealed line; an existing file at [path]
     is rotated to [path ^ ".bak"] first.  With a {!Chaos} spec armed,
     the [checkpoint-corrupt] point truncates the new file (simulating
     a torn write) — the rotation keeps the previous good snapshot. *)
@@ -74,17 +74,10 @@ val load : string -> (t, string) result
     unparsable, bad CRC, bad version) the [.bak] rotation is tried
     before giving up, bumping {!fallbacks} and the
     [symsysc_checkpoint_fallbacks_total] counter.  The returned error
-    is the {e primary} file's.  Bare version-1 files (pre-envelope)
-    still load. *)
+    is the {e primary} file's. *)
 
 val fallbacks : unit -> int
 (** Process-total count of loads that were answered by the backup. *)
 
 val backup_path : string -> string
 (** [path ^ ".bak"] — where {!save} rotates the previous snapshot. *)
-
-val crc32 : string -> int32
-(** The CRC-32 (IEEE 802.3, the zlib polynomial) used by the integrity
-    envelope — exposed so other append-only formats (the campaign
-    service's write-ahead journal) frame their records with the same
-    discipline. *)

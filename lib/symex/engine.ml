@@ -39,7 +39,6 @@ type checkpoint_policy = Checkpoint.policy = {
 type resilience = {
   res_requeued : int;
   res_worker_deaths : int;
-  res_hung : int;
   res_quarantined : int;
   res_lease_expired : int;
   res_duplicates : int;
@@ -52,7 +51,6 @@ type resilience = {
 let no_resilience =
   { res_requeued = 0;
     res_worker_deaths = 0;
-    res_hung = 0;
     res_quarantined = 0;
     res_lease_expired = 0;
     res_duplicates = 0;
@@ -1447,7 +1445,6 @@ module Session = struct
     resume : Checkpoint.t option;
     seed : int option;
     workers : int;
-    heartbeat_ms : int option;
     listen : Transport.listener option;
     lease_ms : int option;
     cookie : string option;
@@ -1455,21 +1452,13 @@ module Session = struct
     snapshots : bool;
   }
 
-  (* Poison-unit quarantine threshold: a unit that has taken down this
-     many workers is dropped rather than requeued. *)
-  let max_unit_crashes = 3
-
   let make ?strategy ?(limits = no_limits) ?stop_after_errors ?checkpoint
-      ?resume ?seed ?(workers = 1) ?heartbeat_ms ?listen ?lease_ms ?cookie
+      ?resume ?seed ?(workers = 1) ?listen ?lease_ms ?cookie
       ?(validate = true) ?(snapshots = true) () =
     if workers < 1 && listen = None then
       invalid_arg "Engine.Session.make: workers must be >= 1";
     if workers < 0 then
       invalid_arg "Engine.Session.make: workers must be >= 0";
-    (match heartbeat_ms with
-     | Some ms when ms < 1 ->
-       invalid_arg "Engine.Session.make: heartbeat_ms must be >= 1"
-     | _ -> ());
     (match lease_ms with
      | Some ms when ms < 1 ->
        invalid_arg "Engine.Session.make: lease_ms must be >= 1"
@@ -1481,7 +1470,7 @@ module Session = struct
       | None, None -> Search.Dfs
     in
     { strategy; limits; stop_after_errors; checkpoint; resume; seed; workers;
-      heartbeat_ms; listen; lease_ms; cookie; validate; snapshots }
+      listen; lease_ms; cookie; validate; snapshots }
 
   let config t =
     { strategy = t.strategy;
@@ -1505,8 +1494,6 @@ module Session = struct
             limits = t.limits;
             stop_after_errors = t.stop_after_errors;
             label;
-            heartbeat_ms = t.heartbeat_ms;
-            max_unit_crashes;
             listen = t.listen;
             lease_ms = t.lease_ms;
             cookie = t.cookie }
@@ -1539,7 +1526,6 @@ module Session = struct
             { no_resilience with
               res_requeued = r.Pool.r_requeued;
               res_worker_deaths = r.Pool.r_worker_deaths;
-              res_hung = r.Pool.r_hung;
               res_quarantined = r.Pool.r_quarantined;
               res_lease_expired = r.Pool.r_lease_expired;
               res_duplicates = r.Pool.r_duplicates;

@@ -88,11 +88,10 @@ type checkpoint_policy = Checkpoint.policy = {
 
 type resilience = {
   res_requeued : int;        (** work units re-queued after a fault *)
-  res_worker_deaths : int;   (** worker processes lost (incl. watchdog kills) *)
-  res_hung : int;            (** workers killed by the heartbeat watchdog *)
+  res_worker_deaths : int;   (** worker processes lost (incl. lease expiries) *)
   res_quarantined : int;     (** poison units dropped after repeated crashes *)
-  res_lease_expired : int;   (** leases past deadline, re-granted elsewhere *)
-  res_duplicates : int;      (** duplicate/late results dropped
+  res_lease_expired : int;   (** holders dropped for a silent lease *)
+  res_duplicates : int;      (** duplicate results dropped
                                  (first-result-wins) *)
   res_reconnects : int;      (** remote peer re-registrations after a lost
                                  connection *)
@@ -172,20 +171,16 @@ module Session : sig
     seed : int option;     (** recorded seed (drives the default
                                [Random_path] strategy when set) *)
     workers : int;
-    heartbeat_ms : int option;
-        (** worker heartbeat period: workers emit liveness frames at
-            this period and the master kills (and requeues the unit
-            of) any worker silent for [max (8*hb, 1s)]; [None]
-            disables the watchdog.  Ignored for sequential runs. *)
     listen : Transport.listener option;
         (** accept remote TCP workers on this bound listener (the
             caller owns and closes it); forces the pool engine even
             with [workers <= 1], and allows [workers = 0] *)
     lease_ms : int option;
-        (** work-unit lease deadline: a granted unit whose holder is
-            silent this long is re-queued for another peer (the holder
-            is not killed; its late result is dropped
-            first-result-wins).  [None] disables lease expiry. *)
+        (** work-unit lease deadline, the pool's one liveness rule:
+            workers pulse every [lease_ms / 8], and a holder silent for
+            a whole lease is dropped as dead (killed or disconnected)
+            and its unit requeued.  [None] disables expiry and pulses.
+            Ignored for sequential runs. *)
     cookie : string option;
         (** parameter fingerprint checked against remote workers'
             hello frames; a mismatch rejects the worker before it can
@@ -208,7 +203,6 @@ module Session : sig
     ?resume:Checkpoint.t ->
     ?seed:int ->
     ?workers:int ->
-    ?heartbeat_ms:int ->
     ?listen:Transport.listener ->
     ?lease_ms:int ->
     ?cookie:string ->
@@ -217,12 +211,12 @@ module Session : sig
     unit ->
     t
   (** Build a session.  Defaults: no budgets, no checkpointing, one
-      worker, no heartbeats, no listener, no leases, validation on.
+      worker, no listener, no leases, validation on.
       The strategy defaults to [Random_path seed] when [seed] is given
       and [strategy] is not, and to [Dfs] otherwise.  Raises
       [Invalid_argument] when [workers < 1] without [listen] (with a
       listener [workers = 0] is allowed — remote peers do all the
-      work), or when [heartbeat_ms < 1] or [lease_ms < 1]. *)
+      work), or when [lease_ms < 1]. *)
 
   val config : t -> config
   (** The legacy config bundle this session denotes (strategy, limits,

@@ -6,12 +6,11 @@
 
    - peer died / disconnected: its entry is requeued (attempts intact)
      and regranted to the next idle peer;
-   - peer went silent past the deadline: the entry expires and is
-     requeued WITHOUT killing the holder — if the slow result arrives
-     later it is merged iff the unit is still unsettled;
-   - result arrives twice (dup-result chaos, or a regrant racing the
-     original): [settle] is first-result-wins keyed by unit id, so the
-     second arrival is counted and dropped, never double-merged. *)
+   - peer went silent past the deadline: the pool drops it as dead, so
+     this is the case above;
+   - result arrives twice (dup-result chaos): [settle] is
+     first-result-wins keyed by unit id, so the second arrival is
+     counted and dropped, never double-merged. *)
 
 type entry = {
   l_id : int;                     (* unique per dispatched unit, never reused *)

@@ -9,12 +9,10 @@
     exactly once, and every later result for the same id is counted
     and dropped.
 
-    Expiry is deliberately decoupled from killing: a lease that passes
-    its deadline is requeued for regrant while the original holder
-    keeps running.  Whichever copy finishes first settles the unit;
-    the loser becomes a counted duplicate.  This turns "stalled socket
-    or wedged remote worker" from a hang into a bounded wait without
-    ever discarding work already in flight. *)
+    The deadline is the pool's one liveness rule: any frame from the
+    holder renews it, and a holder that stays silent past it is
+    dropped as dead and its unit requeued.  This turns "stalled socket
+    or wedged worker" from a hang into a bounded wait. *)
 
 type entry = {
   l_id : int;                 (** unique per dispatched unit, never reused *)
@@ -28,19 +26,19 @@ type t
 
 val create : lease_ms:int option -> t
 (** [lease_ms = None] disables deadlines (entries never expire);
-    liveness then rests on the heartbeat watchdog alone. *)
+    liveness then rests on EOF detection alone. *)
 
 val make_entry :
   t -> id:int -> site:string -> prefix:Decision.t array -> now:float -> entry
 (** First grant: [l_attempts = 1], deadline [now + lease]. *)
 
 val regrant : t -> entry -> now:float -> entry
-(** Re-grant after expiry or holder death: bumps [l_attempts] and
+(** Re-grant after holder death (expiry included): bumps [l_attempts] and
     restarts the deadline. *)
 
 val renew : t -> entry -> now:float -> unit
 (** Push the deadline out.  Called on {e any} frame from the holder —
-    heartbeats and results both prove liveness. *)
+    pulses and results both prove liveness. *)
 
 val expired : entry -> now:float -> bool
 

@@ -34,8 +34,6 @@ type config = {
   limits : Budget.t;
   stop_after_errors : int option;
   label : string;
-  heartbeat_ms : int option;
-  max_unit_crashes : int;
   listen : Transport.listener option;
   lease_ms : int option;
   cookie : string option;
@@ -57,7 +55,6 @@ type result = {
   r_dispatched : int;
   r_requeued : int;
   r_worker_deaths : int;
-  r_hung : int;
   r_quarantined : int;
   r_lease_expired : int;
   r_duplicates : int;
@@ -137,7 +134,7 @@ let hb_msg id = Json.Obj [ ("cmd", Json.Str "hb"); ("worker", Json.Int id) ]
 
 (* The TCP registration handshake.  A dialing worker introduces itself
    with [hello]; the master either answers [welcome] (assigning the
-   peer id and pushing down heartbeat/forwarding settings) or a [fatal]
+   peer id and pushing down pulse/forwarding settings) or a [fatal]
    frame naming the mismatch — a worker started with the wrong
    testbench, strategy or parameters must fail loudly, not corrupt the
    campaign. *)
@@ -150,11 +147,11 @@ let hello_msg ~label ~strategy ~slot ~reconnects ~cookie =
        ("reconnects", Json.Int reconnects) ]
      @ match cookie with None -> [] | Some c -> [ ("cookie", Json.Str c) ])
 
-let welcome_msg ~peer ~heartbeat_ms ~forward ~epoch =
+let welcome_msg ~peer ~pulse_ms ~forward ~epoch =
   Json.Obj
     [ ("cmd", Json.Str "welcome");
       ("peer", Json.Int peer);
-      ("heartbeat_ms", Json.Int (Option.value ~default:0 heartbeat_ms));
+      ("heartbeat_ms", Json.Int (Option.value ~default:0 pulse_ms));
       ("forward", Json.Bool forward);
       ("epoch", if Float.is_nan epoch then Json.Null else Json.Float epoch) ]
 
@@ -314,11 +311,10 @@ let result_of_json j =
    units until a stop frame, EOF or drain, and exit without running the
    master's [at_exit] hooks.
 
-   With a heartbeat period configured, a SIGALRM-driven timer writes a
-   tiny "hb" frame at that period, proving to the master's watchdog
-   that the worker is alive even while a long solver call is in
-   flight.  The [writing] flag keeps the handler from splicing a
-   heartbeat into the middle of a result frame.
+   Under a lease, a SIGALRM-driven timer writes a tiny "hb" pulse frame
+   every eighth of the lease, renewing it even while a long solver
+   call is in flight.  The [writing] flag keeps the handler from
+   splicing a pulse into the middle of a result frame.
 
    SIGTERM requests a {e drain}: the worker finishes the unit in hand,
    flushes its result (with the event/coverage/profile deltas), sends a
@@ -327,15 +323,19 @@ let result_of_json j =
 
 type served = Served_stop | Served_drain
 
-let stop_heartbeat () =
+(* Eight pulses per lease: a holder is judged wedged only after missing
+   eight in a row, so a loaded machine does not read as a dead one. *)
+let pulse_ms lease_ms = Option.map (fun ms -> max 1 (ms / 8)) lease_ms
+
+let stop_pulse () =
   try
     ignore
       (Unix.setitimer Unix.ITIMER_REAL
          { Unix.it_interval = 0.0; it_value = 0.0 })
   with _ -> ()
 
-let start_heartbeat ~heartbeat_ms ~writing conn id =
-  match heartbeat_ms with
+let start_pulse ~pulse_ms ~writing conn id =
+  match pulse_ms with
   | None -> ()
   | Some ms ->
     let iv = float_of_int (max 1 ms) /. 1000.0 in
@@ -366,7 +366,7 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
      would.  A TCP worker closes the socket and unwinds to its
      reconnect loop instead. *)
   let vanish code =
-    stop_heartbeat ();
+    stop_pulse ();
     Unix._exit code
   in
   let send_result id res =
@@ -418,10 +418,9 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
     else begin
       if Chaos.fire Chaos.Conn_stall then begin
         (* A stalled socket: the result arrives, but late — late enough
-           to expire a short lease, short enough that a clean run's
-           watchdog (>= 1 s grace) never reaps the worker.  [writing]
-           also suppresses heartbeats for the duration, so the stall is
-           real silence on the wire. *)
+           to expire a short lease, short enough that a lease of 1 s or
+           more never does.  [writing] also suppresses pulses for the
+           duration, so the stall is real silence on the wire. *)
         writing := true;
         Unix.sleepf 0.2;
         writing := false
@@ -467,9 +466,9 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
           | Ok prefix ->
             if Chaos.fire Chaos.Worker_crash then vanish 131;
             if Chaos.fire Chaos.Worker_hang then begin
-              (* A stuck worker: no heartbeats, no result, no exit.
-                 Only the master's watchdog (or lease) can clear it. *)
-              stop_heartbeat ();
+              (* A stuck worker: no pulses, no result, no exit.  Only
+                 lease expiry can clear it. *)
+              stop_pulse ();
               while true do
                 Unix.sleepf 3600.0
               done
@@ -485,7 +484,7 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
   in
   loop ()
 
-let worker_main ~exec ~worker_id ~heartbeat_ms r w =
+let worker_main ~exec ~worker_id ~pulse_ms r w =
   Obs.Progress.disable ();
   (* If the master has a live trace recorder, this worker forwards its
      own event stream back in result frames.  Capture the master's
@@ -508,11 +507,11 @@ let worker_main ~exec ~worker_id ~heartbeat_ms r w =
   let writing = ref false in
   let drain = ref false in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
-  start_heartbeat ~heartbeat_ms ~writing conn worker_id;
+  start_pulse ~pulse_ms ~writing conn worker_id;
   (match serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable:false () with
    | Served_stop | Served_drain -> ()
    | exception _ -> ());
-  stop_heartbeat ();
+  stop_pulse ();
   Unix._exit 0
 
 (* ------------------------------------------------------------------ *)
@@ -526,7 +525,7 @@ type peer = {
       (* granted lease and dispatch time *)
   mutable p_alive : bool;
   mutable p_last_seen : float;
-      (* last frame (result, bye or heartbeat) received from this peer *)
+      (* last frame (result, bye or pulse) received from this peer *)
   mutable p_chaos : (string * int) list;
       (* cumulative injection counts last reported by this peer *)
 }
@@ -543,14 +542,14 @@ let max_dispatch_stalls = 10_000
    master resources. *)
 let handshake_timeout_s = 5.0
 
+let max_unit_crashes = 3
+
 let run cfg ?resume ?checkpoint ~exec () =
   (match cfg.listen with
    | None ->
      if cfg.workers < 1 then invalid_arg "Pool.run: workers must be >= 1"
    | Some _ ->
      if cfg.workers < 0 then invalid_arg "Pool.run: workers must be >= 0");
-  if cfg.max_unit_crashes < 1 then
-    invalid_arg "Pool.run: max_unit_crashes must be >= 1";
   (match cfg.lease_ms with
    | Some ms when ms < 1 -> invalid_arg "Pool.run: lease_ms must be >= 1"
    | _ -> ());
@@ -583,7 +582,6 @@ let run cfg ?resume ?checkpoint ~exec () =
   let dispatched = ref 0 in
   let requeued = ref 0 in
   let deaths = ref 0 in
-  let hung = ref 0 in
   let quarantined = ref 0 in
   let lease_expired = ref 0 in
   let duplicates = ref 0 in
@@ -664,11 +662,6 @@ let run cfg ?resume ?checkpoint ~exec () =
     Obs.Metrics.counter ~help:"worker processes lost mid-run"
       "symsysc_pool_worker_deaths"
   in
-  let m_hung =
-    Obs.Metrics.counter
-      ~help:"workers killed by the heartbeat watchdog"
-      "symsysc_pool_workers_hung"
-  in
   let m_quarantined =
     Obs.Metrics.counter
       ~help:"work units quarantined after repeatedly killing workers"
@@ -676,7 +669,7 @@ let run cfg ?resume ?checkpoint ~exec () =
   in
   let m_lease_expired =
     Obs.Metrics.counter
-      ~help:"leases that passed their deadline and were requeued"
+      ~help:"holders dropped for staying silent past their lease"
       "symsysc_pool_lease_expired_total"
   in
   let m_duplicates =
@@ -719,7 +712,8 @@ let run cfg ?resume ?checkpoint ~exec () =
       List.iter (fun p -> Transport.close p.p_conn) !peers;
       List.iter (fun (c, _) -> Transport.close c) !unregistered;
       (try
-         worker_main ~exec ~worker_id:id ~heartbeat_ms:cfg.heartbeat_ms ur rw
+         worker_main ~exec ~worker_id:id ~pulse_ms:(pulse_ms cfg.lease_ms)
+           ur rw
        with _ -> ());
       Unix._exit 125
     | pid ->
@@ -787,18 +781,16 @@ let run cfg ?resume ?checkpoint ~exec () =
   (* Units that repeatedly take their worker down with them are poison:
      after [max_unit_crashes] deaths attributable to the same prefix,
      the unit is quarantined instead of requeued — losing one path
-     (and the exhaustiveness claim) beats losing the whole campaign.
-     Keyed on crashes, not lease attempts: expiry regrants of a merely
-     slow unit must never quarantine it. *)
+     (and the exhaustiveness claim) beats losing the whole campaign. *)
   let crash_counts : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let prefix_key p =
     String.concat ";" (Array.to_list (Array.map Decision.to_string p))
   in
-  let handle_death ?(hung = false) ?(graceful = false) p =
+  let handle_death ?(graceful = false) p =
     p.p_alive <- false;
     (match p.p_pid with
      | Some pid ->
-       (* SIGKILL before reaping: a hung worker never exits on its own,
+       (* SIGKILL before reaping: a wedged worker never exits on its own,
           and one that sent a corrupt frame may still be running. *)
        if not graceful then (try Unix.kill pid Sys.sigkill with _ -> ());
        Transport.close p.p_conn;
@@ -825,7 +817,7 @@ let run cfg ?resume ?checkpoint ~exec () =
            1 + Option.value ~default:0 (Hashtbl.find_opt crash_counts key)
          in
          Hashtbl.replace crash_counts key crashes;
-         let quarantine = crashes >= cfg.max_unit_crashes in
+         let quarantine = crashes >= max_unit_crashes in
          if quarantine then begin
            incr quarantined;
            Obs.Metrics.inc m_quarantined;
@@ -848,7 +840,6 @@ let run cfg ?resume ?checkpoint ~exec () =
                      ("addr", Obs.Event.Str (Transport.describe p.p_conn));
                      ("unit", Obs.Event.Int e.Lease.l_id);
                      ("attempt", Obs.Event.Int e.Lease.l_attempts);
-                     ("hung", Obs.Event.Bool hung);
                      ("crashes", Obs.Event.Int crashes);
                      ("requeued", Obs.Event.Bool (not quarantine)) ]
        end
@@ -858,7 +849,6 @@ let run cfg ?resume ?checkpoint ~exec () =
            (if graceful then "peer-drain" else "worker-death")
            ~args:[ ("worker", Obs.Event.Int p.p_id);
                    ("addr", Obs.Event.Str (Transport.describe p.p_conn));
-                   ("hung", Obs.Event.Bool hung);
                    ("requeued", Obs.Event.Bool false) ])
   in
   let dispatch p =
@@ -1048,7 +1038,7 @@ let run cfg ?resume ?checkpoint ~exec () =
         end;
         match
           Transport.write_frame c
-            (welcome_msg ~peer:id ~heartbeat_ms:cfg.heartbeat_ms
+            (welcome_msg ~peer:id ~pulse_ms:(pulse_ms cfg.lease_ms)
                ~forward:(Obs.Export.active ())
                ~epoch:(Obs.Sink.current_epoch ()))
         with
@@ -1092,8 +1082,6 @@ let run cfg ?resume ?checkpoint ~exec () =
       ~args:
         ([ ("workers", Obs.Event.Int cfg.workers);
            ("strategy", Obs.Event.Str strategy_str);
-           ("heartbeat_ms",
-            Obs.Event.Int (Option.value ~default:0 cfg.heartbeat_ms));
            ("lease_ms",
             Obs.Event.Int (Option.value ~default:0 cfg.lease_ms));
            ("resumed", Obs.Event.Bool (resume <> None)) ]
@@ -1135,68 +1123,6 @@ let run cfg ?resume ?checkpoint ~exec () =
            p.Checkpoint.write (snapshot ~final:false)
          end
        | None -> ());
-      (* Lease expiry: a holder silent past its deadline loses the
-         grant — the unit is requeued for another peer — but is NOT
-         killed.  If the slow result still arrives it settles the unit
-         iff nobody beat it; otherwise it is a counted duplicate.
-         This bounds every lost-connection / stalled-socket shape by
-         the lease deadline without ever discarding work. *)
-      (match cfg.lease_ms with
-       | None -> ()
-       | Some _ ->
-         let t = Unix.gettimeofday () in
-         List.iter
-           (fun p ->
-              match p.p_lease with
-              | Some (e, _) when p.p_alive && Lease.expired e ~now:t ->
-                p.p_lease <- None;
-                if not (Lease.is_settled leases e.Lease.l_id) then begin
-                  incr lease_expired;
-                  Obs.Metrics.inc m_lease_expired;
-                  incr requeued;
-                  Obs.Metrics.inc m_requeued;
-                  Lease.requeue leases e;
-                  if !Obs.Sink.enabled then
-                    Obs.Sink.instant ~cat:"pool" "lease-expired"
-                      ~args:[ ("worker", Obs.Event.Int p.p_id);
-                              ("addr",
-                               Obs.Event.Str (Transport.describe p.p_conn));
-                              ("unit", Obs.Event.Int e.Lease.l_id);
-                              ("attempt", Obs.Event.Int e.Lease.l_attempts) ]
-                end
-              | _ -> ())
-           !peers);
-      (* Watchdog: a peer with a unit in flight that has produced no
-         frame — result or heartbeat — within the grace period is
-         presumed wedged (SIGSTOP, runaway loop, injected hang).  It is
-         killed (local) or disconnected (remote) and its unit requeued;
-         EOF detection alone would wait on it forever. *)
-      (match cfg.heartbeat_ms with
-       | None -> ()
-       | Some ms ->
-         (* Generous on purpose: a missed heartbeat must mean a wedged
-            worker, not a loaded machine — a spurious kill is healed by
-            the requeue, but three on one slow unit would quarantine
-            it. *)
-         let grace = Float.max (8.0 *. float_of_int ms /. 1000.0) 1.0 in
-         let t = Unix.gettimeofday () in
-         List.iter
-           (fun p ->
-              if p.p_alive && p.p_lease <> None
-                 && t -. p.p_last_seen > grace
-              then begin
-                incr hung;
-                Obs.Metrics.inc m_hung;
-                if !Obs.Sink.enabled then
-                  Obs.Sink.instant ~cat:"pool" "watchdog-kill"
-                    ~args:[ ("worker", Obs.Event.Int p.p_id);
-                            ("addr",
-                             Obs.Event.Str (Transport.describe p.p_conn));
-                            ("silent_s",
-                             Obs.Event.Float (t -. p.p_last_seen)) ];
-                handle_death ~hung:true p
-              end)
-           !peers);
       (* Keep the local pool at strength: dead forked workers are
          replaced while work remains, so a chaos campaign (or a string
          of genuine crashes) degrades throughput rather than the
@@ -1341,8 +1267,8 @@ let run cfg ?resume ?checkpoint ~exec () =
                      (* Match on liveness too: a dead peer's closed fd
                         number is reused by the next spawn or accept,
                         and the stale entry would otherwise shadow the
-                        live peer — swallowing its frames until the
-                        watchdog killed it. *)
+                        live peer — swallowing its frames until its
+                        lease expired. *)
                      (match
                         List.find_opt
                           (fun p ->
@@ -1356,8 +1282,8 @@ let run cfg ?resume ?checkpoint ~exec () =
                          | j ->
                            p.p_last_seen <- Unix.gettimeofday ();
                            (* Any frame from the holder proves liveness:
-                              renew the lease so heartbeats keep a slow
-                              unit from expiring. *)
+                              renew the lease so pulses keep a slow unit
+                              from expiring. *)
                            (match p.p_lease with
                             | Some (e, _) ->
                               Lease.renew leases e ~now:p.p_last_seen
@@ -1391,7 +1317,30 @@ let run cfg ?resume ?checkpoint ~exec () =
                  false
                end
                else true)
-            !unregistered
+            !unregistered;
+        (* Lease expiry, the one liveness rule: a holder silent for a
+           whole lease is wedged (SIGSTOP, runaway loop, injected hang),
+           because a slow but live one keeps renewing through its
+           pulses.  It is dropped as dead and its unit requeued; EOF
+           detection alone would wait on it forever.  The sweep follows
+           the reads so pulses already queued in a pipe renew the lease
+           before it is judged. *)
+        List.iter
+          (fun p ->
+             match p.p_lease with
+             | Some (e, _) when p.p_alive && Lease.expired e ~now:t ->
+               incr lease_expired;
+               Obs.Metrics.inc m_lease_expired;
+               if !Obs.Sink.enabled then
+                 Obs.Sink.instant ~cat:"pool" "lease-expired"
+                   ~args:[ ("worker", Obs.Event.Int p.p_id);
+                           ("addr", Obs.Event.Str (Transport.describe p.p_conn));
+                           ("unit", Obs.Event.Int e.Lease.l_id);
+                           ("attempt", Obs.Event.Int e.Lease.l_attempts);
+                           ("silent_s", Obs.Event.Float (t -. p.p_last_seen)) ];
+               handle_death p
+             | _ -> ())
+          !peers
       end
     done
   in
@@ -1423,7 +1372,6 @@ let run cfg ?resume ?checkpoint ~exec () =
                 ("errors", Obs.Event.Int !n_errors);
                 ("requeues", Obs.Event.Int !requeued);
                 ("worker_deaths", Obs.Event.Int !deaths);
-                ("hung", Obs.Event.Int !hung);
                 ("quarantined", Obs.Event.Int !quarantined);
                 ("lease_expired", Obs.Event.Int !lease_expired);
                 ("duplicates", Obs.Event.Int !duplicates);
@@ -1443,7 +1391,6 @@ let run cfg ?resume ?checkpoint ~exec () =
       r_dispatched = !dispatched;
       r_requeued = !requeued;
       r_worker_deaths = !deaths;
-      r_hung = !hung;
       r_quarantined = !quarantined;
       r_lease_expired = !lease_expired;
       r_duplicates = !duplicates;
@@ -1528,7 +1475,7 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
                 Option.value ~default:0
                   (Option.bind (Json.member "peer" j) Json.to_int_opt)
               in
-              let heartbeat_ms =
+              let pulse_ms =
                 match
                   Option.bind (Json.member "heartbeat_ms" j) Json.to_int_opt
                 with
@@ -1552,19 +1499,19 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
                  so reseeded chaos streams differ across reconnects and
                  across siblings. *)
               if Chaos.active () then Chaos.reseed peer;
-              start_heartbeat ~heartbeat_ms ~writing conn peer;
+              start_pulse ~pulse_ms ~writing conn peer;
               (match
                  serve_conn ~exec ~conn ~drain ~writing ~forward
                    ~reconnectable:true ()
                with
                | Served_stop | Served_drain ->
-                 stop_heartbeat ();
+                 stop_pulse ();
                  Transport.close conn;
                  continue := false
                | exception Transport.Disconnected _ | exception Failure _ ->
                  (* The master went away (or chaos cut the line): come
                     back with backoff, starting the schedule over. *)
-                 stop_heartbeat ();
+                 stop_pulse ();
                  Transport.close conn;
                  incr reconnects;
                  backoff_or_give_up ())

@@ -25,15 +25,10 @@
 
     Every dispatched unit is tracked by a {!Lease}: a never-reused unit
     id, a deadline, and an attempt count.  Any frame from the holder
-    (heartbeat or result) renews the deadline; a holder silent past it
-    loses the grant — the unit is requeued for another peer — but is
-    {e not} killed, so a merely slow worker keeps computing.  Whichever
-    copy finishes first {e settles} the unit; every later result for
-    the same id is counted in [r_duplicates] and dropped
-    (first-result-wins).  This makes the master idempotent under
-    duplicate, late and replayed results, and bounds every
-    lost-connection or stalled-socket shape by the lease deadline
-    instead of hanging.
+    (pulse or result) renews the deadline.  The first result for an id
+    {e settles} the unit; every later result for the same id is
+    counted in [r_duplicates] and dropped (first-result-wins), which
+    makes the master idempotent under duplicate and replayed results.
 
     {1 Merge semantics}
 
@@ -63,21 +58,19 @@
     result, sends a [bye] frame and deregisters without counting as a
     death.
 
-    With [heartbeat_ms] set, workers emit periodic heartbeat frames
-    from a SIGALRM timer and the master runs a {e watchdog}: a peer
-    holding a unit that produces no frame for [max (8*hb, 1s)] is
-    presumed wedged (e.g. SIGSTOPped), killed (local) or disconnected
-    (remote), and treated as a death — without heartbeats such a
-    worker would block the run forever (unless a lease deadline is
-    set, which requeues the unit without the kill).
+    Lease expiry is the one liveness rule.  With [lease_ms] set,
+    workers send a pulse frame every [lease_ms / 8] from a SIGALRM
+    timer, so a slow but live holder keeps renewing its lease; a
+    holder silent for a whole lease is wedged (e.g. SIGSTOPped) and is
+    dropped as dead — killed and reaped (local) or disconnected
+    (remote, which redials) — and its unit requeued.  Without a lease
+    there are no pulses and a wedged worker blocks the run.
 
-    A {e poison unit} whose prefix kills [max_unit_crashes] workers is
-    quarantined rather than requeued: the path is dropped (and
-    pre-settled, so a late result cannot resurrect it), the run is
-    marked degraded (no exhaustiveness claim) and the quarantine is
-    surfaced in [r_quarantined].  Quarantine is keyed on worker
-    {e crashes}, never on lease expiries: a slow unit regranted many
-    times is not poison.
+    A {e poison unit} whose prefix kills {!max_unit_crashes} workers
+    (lease expiries included) is quarantined rather than requeued: the
+    path is dropped (and pre-settled, so a late result cannot
+    resurrect it), the run is marked degraded (no exhaustiveness
+    claim) and the quarantine is surfaced in [r_quarantined].
 
     With a {!Chaos} spec armed, workers reseed their injection streams
     with their peer id and fire the [worker-crash], [worker-hang],
@@ -144,22 +137,15 @@ type config = {
   stop_after_errors : int option;
   label : string;                 (** run name, checked on resume and
                                       in the remote hello handshake *)
-  heartbeat_ms : int option;
-      (** worker heartbeat period, pushed to remote peers in the
-          welcome frame; [None] disables heartbeats and the watchdog
-          (a wedged worker then blocks the run unless [lease_ms]
-          bounds it) *)
-  max_unit_crashes : int;
-      (** worker deaths attributable to one prefix before that unit is
-          quarantined instead of requeued; >= 1 *)
   listen : Transport.listener option;
       (** accept remote TCP workers on this (already-bound) listener;
           the caller owns and closes it.  [None] for a purely local
           pool *)
   lease_ms : int option;
-      (** lease deadline per grant; a holder silent this long loses
-          the grant (requeue, no kill).  [None] disables expiry —
-          liveness then rests on the watchdog alone *)
+      (** lease deadline per grant; a holder silent this long is
+          dropped as dead and its unit requeued.  Also sets the worker
+          pulse period, [lease_ms / 8].  [None] disables expiry and
+          pulses *)
   cookie : string option;
       (** opaque parameter fingerprint; a dialing worker must present
           the same cookie or its hello is rejected, catching
@@ -184,13 +170,12 @@ type result = {
   r_dispatched : int;   (** units handed to workers (incl. re-grants) *)
   r_requeued : int;
       (** units re-queued (aborts + worker deaths + lease expiries) *)
-  r_worker_deaths : int;  (** peers lost (crashes, resets, watchdog) *)
-  r_hung : int;         (** peers killed by the heartbeat watchdog *)
+  r_worker_deaths : int;  (** peers lost (crashes, resets, lease expiries) *)
   r_quarantined : int;  (** poison units dropped after repeated crashes *)
   r_lease_expired : int;
-      (** leases that passed their deadline and were re-granted *)
+      (** holders dropped for staying silent past their lease *)
   r_duplicates : int;
-      (** duplicate/late results dropped by first-result-wins *)
+      (** duplicate results dropped by first-result-wins *)
   r_reconnects : int;
       (** remote peer re-registrations after a lost connection *)
   r_chaos : (string * int) list;
@@ -211,6 +196,10 @@ type result = {
           the worker that discovered it counts one fallback *)
   r_instructions_saved : int;
 }
+
+val max_unit_crashes : int
+(** Worker deaths attributable to one prefix before that unit is
+    quarantined instead of requeued: 3. *)
 
 val run :
   config ->

@@ -41,8 +41,8 @@ val pipe_conn : addr:string -> Unix.file_descr -> Unix.file_descr -> conn
 (** Wrap an already-created pipe pair (read end, write end). *)
 
 val describe : conn -> string
-(** ["pipe:w0"] / ["tcp:127.0.0.1:49152"] — used in watchdog reap
-    messages and [--top] worker rows. *)
+(** ["pipe:w0"] / ["tcp:127.0.0.1:49152"] — used in pool death and
+    lease-expiry events and [--top] worker rows. *)
 
 val close : conn -> unit
 (** Close both descriptors (once, if they are the same socket).

@@ -4,8 +4,8 @@
    These tests arm the Chaos injector against the verifier's own
    solver, worker pool and checkpoint layers and assert that the
    hardening added alongside it actually heals every injected failure
-   mode: solver retries absorb injected Unknowns, the heartbeat
-   watchdog reaps a SIGSTOPped worker, poison units are quarantined
+   mode: solver retries absorb injected Unknowns, lease expiry reaps
+   a SIGSTOPped worker, poison units are quarantined
    rather than retried forever, a corrupted checkpoint falls back to
    its .bak rotation — and, the acceptance property, a whole campaign
    under a fixed chaos spec/seed converges to the clean run's
@@ -25,9 +25,9 @@ module Solver = Smt.Solver
 module Verify = Symsysc.Verify
 module Report = Symsysc.Report
 
-let scenario ?strategy ?workers ?heartbeat_ms ?validate () =
+let scenario ?strategy ?workers ?lease_ms ?validate () =
   Verify.scenario ~num_sources:4 ~t5_max_len:8 ?strategy ?workers
-    ?heartbeat_ms ?validate ()
+    ?lease_ms ?validate ()
 
 (* Chaos and the retry count are process-global; every test that arms
    them must disarm on the way out or it poisons the suites that run
@@ -336,7 +336,7 @@ let test_chaos_corrupts_checkpoint_write () =
       | Error e -> Alcotest.fail ("expected .bak fallback: " ^ e))
 
 (* ------------------------------------------------------------------ *)
-(* Worker watchdog and poison-unit quarantine                          *)
+(* Lease expiry and poison-unit quarantine                             *)
 
 let unit_ok ?(forks = []) () =
   { Pool.outcome = Pool.Unit_completed; forks; errors = []; visits = [];
@@ -347,9 +347,9 @@ let unit_ok ?(forks = []) () =
     snapshots_taken = 0; snapshot_restores = 0; replay_fallbacks = 0;
     instructions_saved = 0 }
 
-(* A SIGSTOPped worker emits no heartbeats and never exits, which used
-   to block the run forever; the watchdog must reap and replace it. *)
-let test_watchdog_reaps_sigstopped_worker () =
+(* A SIGSTOPped worker stops pulsing and never exits; its lease must
+   expire, and the pool must reap and replace it. *)
+let test_lease_reaps_sigstopped_worker () =
   let flag = Filename.temp_file "symsysc_stop" ".flag" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove flag with Sys_error _ -> ())
@@ -357,8 +357,7 @@ let test_watchdog_reaps_sigstopped_worker () =
        let config =
          { Pool.workers = 2; strategy = Search.Dfs;
            limits = Engine.no_limits; stop_after_errors = None;
-           label = "stop-test"; heartbeat_ms = Some 50;
-           max_unit_crashes = 3; listen = None; lease_ms = None;
+           label = "stop-test"; listen = None; lease_ms = Some 1000;
            cookie = None }
        in
        let exec ~prefix =
@@ -372,14 +371,13 @@ let test_watchdog_reaps_sigstopped_worker () =
          | [ Decision.Dir true ] when Sys.file_exists flag ->
            (try Sys.remove flag with Sys_error _ -> ());
            Unix.kill (Unix.getpid ()) Sys.sigstop;
-           (* unreachable: the watchdog SIGKILLs us while stopped *)
+           (* unreachable: the master SIGKILLs us while stopped *)
            unit_ok ()
          | _ -> unit_ok ()
        in
        let r = Pool.run config ~exec () in
-       Alcotest.(check int) "watchdog reaped one hung worker" 1
-         r.Pool.r_hung;
-       Alcotest.(check int) "the hang counts as a worker death" 1
+       Alcotest.(check int) "one lease expired" 1 r.Pool.r_lease_expired;
+       Alcotest.(check int) "the expiry counts as a worker death" 1
          r.Pool.r_worker_deaths;
        Alcotest.(check bool) "the in-flight unit was re-queued" true
          (r.Pool.r_requeued >= 1);
@@ -388,12 +386,11 @@ let test_watchdog_reaps_sigstopped_worker () =
          r.Pool.r_exhausted)
 
 (* A unit that kills every worker it touches must be dropped after
-   max_unit_crashes, not retried until the respawn cap burns out. *)
+   Pool.max_unit_crashes, not retried until the respawn cap burns out. *)
 let test_poison_unit_quarantined () =
   let config =
     { Pool.workers = 2; strategy = Search.Dfs; limits = Engine.no_limits;
-      stop_after_errors = None; label = "poison-test";
-      heartbeat_ms = None; max_unit_crashes = 2; listen = None;
+      stop_after_errors = None; label = "poison-test"; listen = None;
       lease_ms = None; cookie = None }
   in
   let exec ~prefix =
@@ -411,7 +408,9 @@ let test_poison_unit_quarantined () =
   in
   let r = Pool.run config ~exec () in
   Alcotest.(check int) "poison unit quarantined once" 1 r.Pool.r_quarantined;
-  Alcotest.(check int) "it was allowed max_unit_crashes kills" 2
+  Alcotest.(check int) "the threshold is three crashes" 3
+    Pool.max_unit_crashes;
+  Alcotest.(check int) "it was allowed max_unit_crashes kills" 3
     r.Pool.r_worker_deaths;
   Alcotest.(check int) "the healthy units still completed" 2
     r.Pool.r_completed;
@@ -439,8 +438,8 @@ let test_sigterm_sets_interrupt () =
 (* ------------------------------------------------------------------ *)
 (* Acceptance: chaos campaign converges to the clean run               *)
 
-(* Every point armed at once (worker points need the watchdog, hence
-   heartbeats).  Rates are low enough that retries/requeues heal every
+(* Every point armed at once (the worker-hang point needs lease expiry,
+   hence a lease; 1 s allows eight missed pulses).  Rates are low enough that retries/requeues heal every
    injection; the spec/seed is fixed so the campaign is reproducible. *)
 let campaign_spec =
   [ (Chaos.Solver_unknown, 0.1);
@@ -465,7 +464,7 @@ let check_campaign_equiv name () =
          with_retries 8 (fun () ->
              with_chaos ~seed:11 campaign_spec (fun () ->
                  Verify.run_test
-                   (scenario ~workers ~heartbeat_ms:50 ())
+                   (scenario ~workers ~lease_ms:1000 ())
                    name))
        in
        let res = chaotic.Report.engine.Engine.resilience in
@@ -517,8 +516,8 @@ let suite =
      test_checkpoint_crc_rejects_flip);
     ("checkpoint: chaos-corrupted write rescued by rotation", `Quick,
      test_chaos_corrupts_checkpoint_write);
-    ("pool: watchdog reaps a SIGSTOPped worker", `Quick,
-     test_watchdog_reaps_sigstopped_worker);
+    ("pool: lease expiry reaps a SIGSTOPped worker", `Quick,
+     test_lease_reaps_sigstopped_worker);
     ("pool: poison unit quarantined", `Quick, test_poison_unit_quarantined);
     ("budget: SIGTERM interrupts gracefully", `Quick,
      test_sigterm_sets_interrupt);

@@ -518,6 +518,73 @@ let test_report_breakdown () =
     [ "queries"; "cache" ];
   ignore (Format.asprintf "%a" Symsysc.Report.pp_solver_breakdown r)
 
+(* ------------------------------------------------------------------ *)
+(* Durable records                                                     *)
+
+module J = Obs.Json
+
+(* Floats at the edges of the printer: subnormal and normal minima,
+   the %.17g switch to exponent form on both sides, and non-integral
+   values just below 2^52.  Integral floats below 1e17 and non-finite
+   ones are left out: the printer writes them as integers and null, so
+   they read back as [Int] and [Null] by design. *)
+let edge_floats =
+  [ 5e-324; 2.2250738585072014e-308; epsilon_float; 1e-5; 1e-4; 0.1;
+    1. /. 3.; -2. /. 3.; 123456.789; 1e15 +. 0.5; 4503599627370495.5;
+    1e17; 2. ** 60.; max_float; -.max_float; -1e-300 ]
+
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size ~gen:(oneof [ printable; char; oneofl [ '"'; '\\'; '\n' ] ])
+      (0 -- 8)
+  in
+  let float =
+    oneof
+      [ oneofl edge_floats;
+        map (fun f -> if Float.is_integer f then f +. 0.5 else f)
+          (float_range (-1e6) 1e6) ]
+  in
+  sized_size (0 -- 3)
+  @@ fix (fun self n ->
+      let leaf =
+        oneof
+          [ pure J.Null; map (fun b -> J.Bool b) bool;
+            map (fun i -> J.Int i) (oneof [ int; oneofl [ min_int; max_int; 0 ] ]);
+            map (fun f -> J.Float f) float; map (fun s -> J.Str s) str ]
+      in
+      if n = 0 then leaf
+      else
+        frequency
+          [ (1, leaf);
+            (2, map (fun l -> J.List l) (list_size (0 -- 3) (self (n - 1))));
+            (2, map (fun l -> J.Obj l)
+                 (list_size (0 -- 3) (pair str (self (n - 1))))) ])
+
+(* Seal/unseal round-trips every value, and rejects every single-byte
+   change and every strict prefix of a sealed line. *)
+let durable_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"durable: seal/unseal round-trip"
+       (QCheck.make ~print:J.to_string json_gen)
+       (fun j ->
+          let line = Obs.Durable.seal j in
+          let rejected s = Result.is_error (Obs.Durable.unseal s) in
+          let n = String.length line in
+          Obs.Durable.unseal line = Ok j
+          && List.for_all (fun k -> rejected (String.sub line 0 k))
+               (List.init n Fun.id)
+          && List.for_all
+               (fun i ->
+                  List.for_all
+                    (fun d ->
+                       let b = Bytes.of_string line in
+                       Bytes.set b i
+                         (Char.chr ((Char.code line.[i] + d) land 0xFF));
+                       rejected (Bytes.to_string b))
+                    (List.init 255 (fun d -> d + 1)))
+               (List.init n Fun.id)))
+
 let suite =
   [
     ("sink: disabled without subscribers", `Quick,
@@ -536,4 +603,5 @@ let suite =
     ("progress: stats lines", `Quick, test_progress_lines);
     ("progress: due cadence", `Quick, test_progress_due);
     ("report: solver breakdown", `Quick, test_report_breakdown);
+    durable_prop;
   ]
