@@ -979,6 +979,10 @@ let tcp_test_report ~workers name =
       name
   in
   Symex.Transport.close_listener l;
+  (* Registered workers were told to stop, but a pool worker whose
+     first dial came after the master finished would redial the closed
+     port forever: drain the pool. *)
+  (try Unix.kill kid Sys.sigterm with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] kid);
   report
 

@@ -98,7 +98,7 @@ let pp_solver_breakdown ppf t =
      \  queries      %6d@,\
      \  slices       %6d (%d query-cache, %d cex-cache hits)@,\
      \  interval     %6.3fs (%4.1f%%) — %d unsat, %d sat@,\
-     \  bit-blast    %6.3fs (%4.1f%%)@,\
+     \  bit-blast    %6.3fs (%4.1f%%) — %d vars, %d clauses@,\
      \  sat          %6.3fs (%4.1f%%) — %d calls, %d conflicts, %d decisions, \
      %d propagations@,\
      \  scope        %d pushes, %d pops, %d encodings reused, %d rebuilds@,\
@@ -109,6 +109,7 @@ let pp_solver_breakdown ppf t =
     s.Smt.Solver.Stats.interval_time (pct s.Smt.Solver.Stats.interval_time)
     s.Smt.Solver.Stats.interval_unsat s.Smt.Solver.Stats.interval_sat
     s.Smt.Solver.Stats.bitblast_time (pct s.Smt.Solver.Stats.bitblast_time)
+    s.Smt.Solver.Stats.cnf_vars s.Smt.Solver.Stats.cnf_clauses
     s.Smt.Solver.Stats.sat_time (pct s.Smt.Solver.Stats.sat_time)
     s.Smt.Solver.Stats.sat_calls s.Smt.Solver.Stats.sat_conflicts
     s.Smt.Solver.Stats.sat_decisions s.Smt.Solver.Stats.sat_propagations
@@ -153,6 +154,8 @@ let record_metrics t =
   g "symsysc_solver_cache_hit_rate" (Smt.Solver.Stats.cache_hit_rate s);
   g "symsysc_solver_interval_seconds" s.Smt.Solver.Stats.interval_time;
   g "symsysc_solver_bitblast_seconds" s.Smt.Solver.Stats.bitblast_time;
+  gi "symsysc_solver_cnf_vars" s.Smt.Solver.Stats.cnf_vars;
+  gi "symsysc_solver_cnf_clauses" s.Smt.Solver.Stats.cnf_clauses;
   g "symsysc_solver_sat_seconds" s.Smt.Solver.Stats.sat_time;
   gi "symsysc_solver_sat_conflicts" s.Smt.Solver.Stats.sat_conflicts;
   gi "symsysc_solver_sat_decisions" s.Smt.Solver.Stats.sat_decisions;

@@ -2,10 +2,18 @@
 
 type repr = Lit of int | Bits of int array
 
+(* Gate kinds, the head of a structural-hashing key. *)
+let k_and = 0
+let k_xor = 1
+let k_ite = 2
+let k_maj = 3
+let k_and_n = 4
+
 type ctx = {
   sat : Sat.t;
   memo : (int, repr) Hashtbl.t;        (* Expr.id -> repr *)
   vars : (int, int array) Hashtbl.t;   (* var_id -> bit literals *)
+  strash : (int list, int) Hashtbl.t;  (* kind :: operands -> output *)
   mutable true_lit : int;              (* literal asserted true, 0 if none *)
   mutable deadline : float option;     (* per-query; mutable for reuse *)
   mutable stop : (unit -> bool) option;
@@ -13,7 +21,8 @@ type ctx = {
 }
 
 let create ?deadline ?stop sat =
-  { sat; memo = Hashtbl.create 1024; vars = Hashtbl.create 64; true_lit = 0;
+  { sat; memo = Hashtbl.create 1024; vars = Hashtbl.create 64;
+    strash = Hashtbl.create 1024; true_lit = 0;
     deadline; stop; steps = 0 }
 
 (* A context retained across queries (Solver.Scope) carries a different
@@ -54,50 +63,147 @@ let lit_false ctx = -lit_true ctx
 
 let lit_of_bool ctx b = if b then lit_true ctx else lit_false ctx
 
-(* Tseitin gates.  Each returns a literal equivalent to the gate. *)
+(* Literals are never 0, so before [lit_true] is first allocated
+   nothing tests constant. *)
+let is_true ctx l = l = ctx.true_lit
+let is_false ctx l = l = -ctx.true_lit
+
+(* Tseitin gates.  Each returns a literal equivalent to the gate.
+   Constant and trivially related operands fold without a variable;
+   otherwise the gate is looked up in the structural hash on its
+   normalised operands and only encoded on a miss.  Sharing a gate
+   output between terms is sound because gate definitions are never
+   guarded: in a context retained across queries they hold forever. *)
+
+let hashed ctx key encode =
+  match Hashtbl.find_opt ctx.strash key with
+  | Some g -> g
+  | None ->
+    let g = fresh ctx in
+    encode g;
+    Hashtbl.add ctx.strash key g;
+    g
 
 let gate_and ctx a b =
-  if a = b then a
-  else if a = -b then lit_false ctx
-  else begin
-    let g = fresh ctx in
-    Sat.add_clause ctx.sat [ -g; a ];
-    Sat.add_clause ctx.sat [ -g; b ];
-    Sat.add_clause ctx.sat [ -a; -b; g ];
-    g
-  end
+  if a = b || is_true ctx b then a
+  else if is_true ctx a then b
+  else if a = -b || is_false ctx a || is_false ctx b then lit_false ctx
+  else
+    let a, b = if a < b then a, b else b, a in
+    hashed ctx [ k_and; a; b ] (fun g ->
+        Sat.add_clause ctx.sat [ -g; a ];
+        Sat.add_clause ctx.sat [ -g; b ];
+        Sat.add_clause ctx.sat [ -a; -b; g ])
 
 let gate_or ctx a b = -gate_and ctx (-a) (-b)
 
+(* Operands are sign-stripped for the hash; their parity moves to the
+   output, since xor(-a, b) = -xor(a, b). *)
 let gate_xor ctx a b =
   if a = b then lit_false ctx
   else if a = -b then lit_true ctx
-  else begin
-    let g = fresh ctx in
-    Sat.add_clause ctx.sat [ -g; a; b ];
-    Sat.add_clause ctx.sat [ -g; -a; -b ];
-    Sat.add_clause ctx.sat [ g; -a; b ];
-    Sat.add_clause ctx.sat [ g; a; -b ];
-    g
-  end
+  else if is_false ctx a then b
+  else if is_true ctx a then -b
+  else if is_false ctx b then a
+  else if is_true ctx b then -a
+  else
+    let neg = (a < 0) <> (b < 0) in
+    let a = abs a and b = abs b in
+    let a, b = if a < b then a, b else b, a in
+    let g =
+      hashed ctx [ k_xor; a; b ] (fun g ->
+          Sat.add_clause ctx.sat [ -g; a; b ];
+          Sat.add_clause ctx.sat [ -g; -a; -b ];
+          Sat.add_clause ctx.sat [ g; -a; b ];
+          Sat.add_clause ctx.sat [ g; a; -b ])
+    in
+    if neg then -g else g
 
 let gate_iff ctx a b = -gate_xor ctx a b
 
 (* g = if c then a else b *)
 let gate_ite ctx c a b =
-  if a = b then a
-  else begin
-    let g = fresh ctx in
-    Sat.add_clause ctx.sat [ -c; -a; g ];
-    Sat.add_clause ctx.sat [ -c; a; -g ];
-    Sat.add_clause ctx.sat [ c; -b; g ];
-    Sat.add_clause ctx.sat [ c; b; -g ];
-    g
-  end
+  if a = b || is_true ctx c then a
+  else if is_false ctx c then b
+  else if a = -b then gate_iff ctx c a
+  else if c = a || is_true ctx a then gate_or ctx c b
+  else if c = -a || is_false ctx a then gate_and ctx (-c) b
+  else if c = b || is_false ctx b then gate_and ctx c a
+  else if c = -b || is_true ctx b then gate_or ctx (-c) a
+  else
+    (* ite(-c, a, b) = ite(c, b, a); ite(c, -a, -b) = -ite(c, a, b). *)
+    let c, a, b = if c < 0 then -c, b, a else c, a, b in
+    let neg = a < 0 in
+    let a, b = if neg then -a, -b else a, b in
+    let g =
+      hashed ctx [ k_ite; c; a; b ] (fun g ->
+          Sat.add_clause ctx.sat [ -c; -a; g ];
+          Sat.add_clause ctx.sat [ -c; a; -g ];
+          Sat.add_clause ctx.sat [ c; -b; g ];
+          Sat.add_clause ctx.sat [ c; b; -g ])
+    in
+    if neg then -g else g
 
-(* Majority (carry-out of a full adder). *)
+(* Majority (carry-out of a full adder), encoded natively in six
+   clauses.  maj is self-dual, so operands are normalised to at most
+   one negative literal with the flip carried to the output. *)
 let gate_maj ctx a b c =
-  gate_or ctx (gate_and ctx a b) (gate_or ctx (gate_and ctx a c) (gate_and ctx b c))
+  if a = b || a = c then a
+  else if b = c then b
+  else if a = -b then c
+  else if a = -c then b
+  else if b = -c then a
+  (* maj(1, b, c) = b | c and maj(0, b, c) = b & c. *)
+  else if is_true ctx a then gate_or ctx b c
+  else if is_false ctx a then gate_and ctx b c
+  else if is_true ctx b then gate_or ctx a c
+  else if is_false ctx b then gate_and ctx a c
+  else if is_true ctx c then gate_or ctx a b
+  else if is_false ctx c then gate_and ctx a b
+  else
+    let nneg = Bool.to_int (a < 0) + Bool.to_int (b < 0) + Bool.to_int (c < 0) in
+    let neg = nneg >= 2 in
+    let a, b, c = if neg then -a, -b, -c else a, b, c in
+    let a, b = if a < b then a, b else b, a in
+    let b, c = if b < c then b, c else c, b in
+    let a, b = if a < b then a, b else b, a in
+    let g =
+      hashed ctx [ k_maj; a; b; c ] (fun g ->
+          Sat.add_clause ctx.sat [ -g; a; b ];
+          Sat.add_clause ctx.sat [ -g; a; c ];
+          Sat.add_clause ctx.sat [ -g; b; c ];
+          Sat.add_clause ctx.sat [ g; -a; -b ];
+          Sat.add_clause ctx.sat [ g; -a; -c ];
+          Sat.add_clause ctx.sat [ g; -b; -c ])
+    in
+    if neg then -g else g
+
+(* n-ary AND: one variable and n+1 clauses instead of a chain of n
+   binary gates.  Operands are folded, deduplicated and sorted by
+   variable, so complementary literals end up adjacent. *)
+let gate_and_n ctx lits =
+  if List.exists (is_false ctx) lits then lit_false ctx
+  else
+    let by_var x y =
+      let c = Int.compare (abs x) (abs y) in
+      if c <> 0 then c else Int.compare x y
+    in
+    let lits =
+      List.sort_uniq by_var (List.filter (fun l -> not (is_true ctx l)) lits)
+    in
+    let rec complementary = function
+      | x :: (y :: _ as rest) -> x = -y || complementary rest
+      | [ _ ] | [] -> false
+    in
+    match lits with
+    | [] -> lit_true ctx
+    | [ l ] -> l
+    | [ a; b ] -> gate_and ctx a b
+    | _ when complementary lits -> lit_false ctx
+    | _ ->
+      hashed ctx (k_and_n :: lits) (fun g ->
+          List.iter (fun l -> Sat.add_clause ctx.sat [ -g; l ]) lits;
+          Sat.add_clause ctx.sat (g :: List.map (fun l -> -l) lits))
 
 let full_adder ctx a b cin =
   let s = gate_xor ctx (gate_xor ctx a b) cin in
@@ -128,18 +234,15 @@ let subtract ctx a b =
   let s, carry = adder ctx ~cin:(lit_true ctx) a notb in
   s, carry (* carry = 1 means no borrow, i.e. a >= b (unsigned) *)
 
-(* a < b (unsigned): borrow of a - b. *)
+(* a < b (unsigned): the borrow of a - b, i.e. the negated carry out of
+   a + ~b + 1 — only the carry chain, no sum bits. *)
 let ult_lit ctx a b =
-  let _, carry = subtract ctx a b in
-  -carry
+  let carry = ref (lit_true ctx) in
+  Array.iteri (fun i ai -> carry := gate_maj ctx ai (-b.(i)) !carry) a;
+  - !carry
 
 let eq_lit ctx a b =
-  let w = Array.length a in
-  let acc = ref (lit_true ctx) in
-  for i = 0 to w - 1 do
-    acc := gate_and ctx !acc (gate_iff ctx a.(i) b.(i))
-  done;
-  !acc
+  gate_and_n ctx (Array.to_list (Array.map2 (gate_iff ctx) a b))
 
 let slt_lit ctx a b =
   (* Flip the sign bits, then compare unsigned. *)
@@ -162,34 +265,29 @@ let shifted dir fill bits k =
 
 let barrel_shift ctx dir a amount ~fill =
   let w = Array.length a in
-  let stages = ref a in
   let log2w =
     let rec go k = if 1 lsl k >= w then k else go (k + 1) in
     go 0
   in
+  (* Amounts >= w saturate to [fill]: any amount bit at or above log2w
+     set, or (when w is not a power of two) an amount between w and
+     2^log2w - 1. *)
+  let exceeds =
+    if 1 lsl log2w = w then
+      -gate_and_n ctx
+         (List.init (Array.length amount - log2w) (fun i -> -amount.(log2w + i)))
+    else
+      let wconst = Array.init (Array.length amount)
+          (fun i -> lit_of_bool ctx ((w lsr i) land 1 = 1))
+      in
+      -ult_lit ctx amount wconst
+  in
+  let stages = ref a in
   for k = 0 to log2w - 1 do
     let moved = shifted dir fill !stages k in
     stages := mux_bits ctx amount.(k) moved !stages
   done;
-  (* If any amount bit >= log2w is set the result saturates to fill. *)
-  let big = ref (lit_false ctx) in
-  for i = log2w to Array.length amount - 1 do
-    big := gate_or ctx !big amount.(i)
-  done;
-  (* Shift amounts between w and 2^log2w - 1 (when w is not a power of
-     two) also saturate; check amount >= w explicitly. *)
-  let exceeds =
-    if 1 lsl log2w = w then !big
-    else begin
-      let wconst = Array.init (Array.length amount)
-          (fun i -> lit_of_bool ctx ((w lsr i) land 1 = 1))
-      in
-      let ge_w = -(ult_lit ctx amount wconst) in
-      gate_or ctx !big ge_w
-    end
-  in
-  let fills = Array.make w fill in
-  mux_bits ctx exceeds fills !stages
+  mux_bits ctx exceeds (Array.make w fill) !stages
 
 let multiply ctx a b =
   let w = Array.length a in

@@ -3,7 +3,12 @@
     Every bitvector term is translated to a vector of SAT literals
     (LSB first); boolean terms translate to a single literal.
     Translation is memoized per context, so shared subterms are encoded
-    once — the natural consequence of hash-consed input terms. *)
+    once — the natural consequence of hash-consed input terms.  Below
+    the terms, every gate folds constant and trivially related
+    operands, and gates are structurally hashed per context on their
+    normalised operands, so distinct terms with the same circuit share
+    its gates.  Gate definitions are never guarded, which keeps that
+    sharing sound in a context retained across queries. *)
 
 type ctx
 

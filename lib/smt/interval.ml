@@ -74,7 +74,10 @@ let rec bounds env (e : Expr.t) : t =
        if ib.lo = 0L then top w
        else { lo = Int64.unsigned_div ia.lo ib.hi; hi = Int64.unsigned_div ia.hi ib.lo; w }
      | Expr.Urem ->
+       (* x urem 0 = x, so a divisor range reaching 0 bounds the
+          result by the dividend only. *)
        if ib.hi = 0L then bounds env a
+       else if ib.lo = 0L then { lo = 0L; hi = ia.hi; w }
        else { lo = 0L; hi = umin ia.hi (Int64.sub ib.hi 1L); w }
      | Expr.Shl ->
        let ibb = bounds env b in

@@ -22,8 +22,6 @@ module Ivec = struct
     end;
     t.data.(t.len) <- x;
     t.len <- t.len + 1
-
-  let clear t = t.len <- 0
 end
 
 type t = {
@@ -47,6 +45,8 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable seen : bool array;           (* scratch for conflict analysis *)
+  mutable buf : int array;             (* scratch for clause intake *)
+  mutable added : int;                 (* clauses kept by [add_clause] *)
 }
 
 let create () =
@@ -71,6 +71,8 @@ let create () =
     decisions = 0;
     propagations = 0;
     seen = Array.make 16 false;
+    buf = Array.make 16 0;
+    added = 0;
   }
 
 let grow_int_array a n default =
@@ -123,6 +125,7 @@ let new_var t =
   v
 
 let num_vars t = t.nvars
+let num_clauses t = t.added
 
 (* Internal literal helpers. *)
 let ilit_of_dimacs l = if l > 0 then 2 * l else 2 * (-l) + 1
@@ -174,41 +177,65 @@ let cancel_until t lvl =
     t.trail_lim_len <- lvl
   end
 
+(* Clause intake works in the reusable scratch buffer [t.buf]: the
+   literals are insertion-sorted there (bit-blaster clauses have two to
+   four literals), and since a literal and its negation are adjacent
+   internal literals (2v, 2v+1), one pass over the sorted buffer drops
+   duplicates, detects tautologies, drops a clause satisfied at level 0
+   and filters literals false at level 0.  Only a surviving clause of
+   two or more literals allocates — its own array in the arena. *)
 let add_clause t dimacs_lits =
   if not t.unsat then begin
     (* Incremental use leaves the trail populated after a [Sat] answer;
        the level-0 simplification below is only sound against the
        level-0 prefix, so drop any standing decisions first. *)
     if decision_level t > 0 then cancel_until t 0;
-    (* Dedupe and detect tautologies. *)
-    let lits = List.sort_uniq Int.compare (List.map ilit_of_dimacs dimacs_lits) in
-    let taut = List.exists (fun l -> List.mem (ilit_neg l) lits) lits in
-    if not taut then begin
-      (* Drop literals already false at level 0; if any literal is true
-         at level 0 the clause is satisfied. *)
-      let satisfied =
-        List.exists (fun l -> lit_value t l = 1 && t.level.(ilit_var l) = 0) lits
-      in
-      if not satisfied then begin
-        let lits =
-          List.filter
-            (fun l -> not (lit_value t l = 0 && t.level.(ilit_var l) = 0))
-            lits
-        in
-        match lits with
-        | [] -> t.unsat <- true
-        | [ l ] ->
-          (match lit_value t l with
-           | 1 -> ()
-           | 0 -> t.unsat <- true
-           | _ -> enqueue t l (-1))
-        | _ -> ignore (add_clause_internal t (Array.of_list lits))
-      end
+    let n = ref 0 in
+    List.iter
+      (fun d ->
+         if !n = Array.length t.buf then t.buf <- grow_int_array t.buf (!n + 1) 0;
+         let buf = t.buf and l = ilit_of_dimacs d in
+         let j = ref !n in
+         while !j > 0 && buf.(!j - 1) > l do
+           buf.(!j) <- buf.(!j - 1);
+           decr j
+         done;
+         buf.(!j) <- l;
+         incr n)
+      dimacs_lits;
+    let buf = t.buf in
+    let kept = ref 0 and prev = ref (-1) and drop = ref false and i = ref 0 in
+    while (not !drop) && !i < !n do
+      let l = buf.(!i) in
+      if l <> !prev then begin
+        (* Every assignment on the trail is at level 0 here. *)
+        if !prev = ilit_neg l then drop := true
+        else begin
+          match lit_value t l with
+          | 1 -> drop := true
+          | 0 -> ()
+          | _ ->
+            buf.(!kept) <- l;
+            incr kept
+        end;
+        prev := l
+      end;
+      incr i
+    done;
+    if not !drop then begin
+      t.added <- t.added + 1;
+      match !kept with
+      | 0 -> t.unsat <- true
+      | 1 -> enqueue t buf.(0) (-1)
+      | k -> ignore (add_clause_internal t (Array.sub buf 0 k))
     end
   end
 
 (* Propagation with two watched literals; returns conflicting clause id
-   or -1. *)
+   or -1.  Each watch list is compacted in place (read index [i], write
+   index [j]): entries that keep watching the false literal are written
+   back in visit order, entries that move are pushed onto another
+   literal's list, never this one (the new watch is not false). *)
 let propagate t =
   let conflict = ref (-1) in
   while !conflict = -1 && t.qhead < t.trail_len do
@@ -218,14 +245,16 @@ let propagate t =
     let false_lit = ilit_neg l in
     (* Clauses watching false_lit must find a new watch. *)
     let ws = t.watches.(false_lit) in
-    let old = Array.sub ws.Ivec.data 0 ws.Ivec.len in
-    Ivec.clear ws;
-    let n = Array.length old in
-    let i = ref 0 in
+    let data = ws.Ivec.data and n = ws.Ivec.len in
+    let i = ref 0 and j = ref 0 in
+    let keep cid =
+      data.(!j) <- cid;
+      incr j
+    in
     while !i < n do
-      let cid = old.(!i) in
+      let cid = data.(!i) in
       incr i;
-      if !conflict <> -1 then Ivec.push ws cid
+      if !conflict <> -1 then keep cid
       else begin
         let c = t.clauses.(cid) in
         (* Ensure c.(1) is the false literal. *)
@@ -233,7 +262,7 @@ let propagate t =
           c.(0) <- c.(1);
           c.(1) <- false_lit
         end;
-        if lit_value t c.(0) = 1 then Ivec.push ws cid
+        if lit_value t c.(0) = 1 then keep cid
         else begin
           (* Search for a non-false literal to watch. *)
           let len = Array.length c in
@@ -251,13 +280,14 @@ let propagate t =
           done;
           if not !found then begin
             (* Unit or conflicting. *)
-            Ivec.push ws cid;
+            keep cid;
             if lit_value t c.(0) = 0 then conflict := cid
             else if lit_value t c.(0) = -1 then enqueue t c.(0) cid
           end
         end
       end
-    done
+    done;
+    ws.Ivec.len <- !j
   done;
   !conflict
 

@@ -18,6 +18,11 @@ val new_var : t -> int
 
 val num_vars : t -> int
 
+val num_clauses : t -> int
+(** Clauses accepted by {!add_clause} so far: tautologies and clauses
+    already satisfied at level 0 are not counted, learned clauses are
+    not counted. *)
+
 val add_clause : t -> int list -> unit
 (** Add a clause given as DIMACS literals.  Tautologies are dropped and
     duplicate literals removed.  Adding the empty clause (or a clause

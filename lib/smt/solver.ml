@@ -24,6 +24,8 @@ module Stats = struct
     scope_pops : int;
     scope_reused : int;
     scope_rebuilds : int;
+    cnf_vars : int;
+    cnf_clauses : int;
     time : float;
     interval_time : float;
     bitblast_time : float;
@@ -37,6 +39,7 @@ module Stats = struct
       sat_decisions = 0; sat_propagations = 0; sat_timeouts = 0;
       sat_retries = 0;
       scope_pushes = 0; scope_pops = 0; scope_reused = 0; scope_rebuilds = 0;
+      cnf_vars = 0; cnf_clauses = 0;
       time = 0.0;
       interval_time = 0.0; bitblast_time = 0.0; sat_time = 0.0 }
 
@@ -65,6 +68,8 @@ module Stats = struct
       scope_pops = a.scope_pops - b.scope_pops;
       scope_reused = a.scope_reused - b.scope_reused;
       scope_rebuilds = a.scope_rebuilds - b.scope_rebuilds;
+      cnf_vars = a.cnf_vars - b.cnf_vars;
+      cnf_clauses = a.cnf_clauses - b.cnf_clauses;
       time = a.time -. b.time;
       interval_time = a.interval_time -. b.interval_time;
       bitblast_time = a.bitblast_time -. b.bitblast_time;
@@ -92,6 +97,8 @@ module Stats = struct
       scope_pops = a.scope_pops + b.scope_pops;
       scope_reused = a.scope_reused + b.scope_reused;
       scope_rebuilds = a.scope_rebuilds + b.scope_rebuilds;
+      cnf_vars = a.cnf_vars + b.cnf_vars;
+      cnf_clauses = a.cnf_clauses + b.cnf_clauses;
       time = a.time +. b.time;
       interval_time = a.interval_time +. b.interval_time;
       bitblast_time = a.bitblast_time +. b.bitblast_time;
@@ -109,12 +116,13 @@ module Stats = struct
       "queries=%d slices=%d slice-hits=%d cache=%d cex=%d evict=%d/%d \
        itv-unsat=%d itv-sat=%d sat-calls=%d conflicts=%d decisions=%d \
        propagations=%d timeouts=%d retries=%d scope=%d/%d reuse=%d \
-       rebuilds=%d time=%.3fs (itv=%.3fs blast=%.3fs sat=%.3fs)"
+       rebuilds=%d cnf=%dv/%dc time=%.3fs (itv=%.3fs blast=%.3fs sat=%.3fs)"
       t.queries t.slices t.slice_hits t.cache_hits t.cex_hits
       t.query_evictions t.cex_evictions t.interval_unsat
       t.interval_sat t.sat_calls t.sat_conflicts t.sat_decisions
       t.sat_propagations t.sat_timeouts t.sat_retries
-      t.scope_pushes t.scope_pops t.scope_reused t.scope_rebuilds t.time
+      t.scope_pushes t.scope_pops t.scope_reused t.scope_rebuilds
+      t.cnf_vars t.cnf_clauses t.time
       t.interval_time t.bitblast_time t.sat_time
 
   let to_json t =
@@ -138,6 +146,8 @@ module Stats = struct
         ("scope_pops", Obs.Json.Int t.scope_pops);
         ("scope_reused", Obs.Json.Int t.scope_reused);
         ("scope_rebuilds", Obs.Json.Int t.scope_rebuilds);
+        ("cnf_vars", Obs.Json.Int t.cnf_vars);
+        ("cnf_clauses", Obs.Json.Int t.cnf_clauses);
         ("time", Obs.Json.Float t.time);
         ("interval_time", Obs.Json.Float t.interval_time);
         ("bitblast_time", Obs.Json.Float t.bitblast_time);
@@ -170,6 +180,8 @@ module Stats = struct
       scope_pops = int "scope_pops";
       scope_reused = int "scope_reused";
       scope_rebuilds = int "scope_rebuilds";
+      cnf_vars = int "cnf_vars";
+      cnf_clauses = int "cnf_clauses";
       time = flt "time";
       interval_time = flt "interval_time";
       bitblast_time = flt "bitblast_time";
@@ -403,6 +415,15 @@ let stage name timef record f =
 let retries = ref 0
 let set_retries n = retries := max 0 n
 
+(* Fold the CNF an encoding step added to [sat] (relative to the
+   instance's size before the step) into the counters. *)
+let note_cnf sat ~vars0 ~clauses0 =
+  Stats.(
+    current :=
+      { !current with
+        cnf_vars = !current.cnf_vars + Sat.num_vars sat - vars0;
+        cnf_clauses = !current.cnf_clauses + Sat.num_clauses sat - clauses0 })
+
 let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
   let sat = Sat.create () in
   let stop () = !interrupt_check () in
@@ -424,6 +445,7 @@ let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
            Error "solver timeout"
          | exception Sat.Interrupted -> Error "interrupted")
   in
+  note_cnf sat ~vars0:0 ~clauses0:0;
   match blast with
   | Error msg -> Unknown msg
   | Ok ctx ->
@@ -479,6 +501,7 @@ let scope_solve scope ?conflict_limit ?deadline ~attempt constraints vars =
   let stop () = !interrupt_check () in
   Bitblast.set_deadline ctx deadline;
   Bitblast.set_stop ctx (Some stop);
+  let vars0 = Sat.num_vars sat and clauses0 = Sat.num_clauses sat in
   let blast =
     stage "bitblast"
       (fun s dt -> { s with Stats.bitblast_time = s.Stats.bitblast_time +. dt })
@@ -510,6 +533,7 @@ let scope_solve scope ?conflict_limit ?deadline ~attempt constraints vars =
            Error "solver timeout"
          | exception Sat.Interrupted -> Error "interrupted")
   in
+  note_cnf sat ~vars0 ~clauses0;
   match blast with
   | Error msg -> Unknown msg
   | Ok assumptions ->

@@ -196,6 +196,11 @@ module Stats : sig
                                   from a retained instance *)
     scope_rebuilds : int;     (** retained instances dropped for
                                   outgrowing the guard cap *)
+    cnf_vars : int;           (** SAT variables created by bit-blasting
+                                  (guards included) *)
+    cnf_clauses : int;        (** clauses bit-blasting added to SAT
+                                  instances, as counted by
+                                  {!Sat.num_clauses} *)
     time : float;             (** total seconds spent inside [check] *)
     interval_time : float;    (** seconds in the interval prescreen *)
     bitblast_time : float;    (** seconds bit-blasting to CNF *)

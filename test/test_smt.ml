@@ -310,6 +310,52 @@ let test_sat_tautology_dropped () =
   Sat.add_clause s [ a; -a ];
   Alcotest.(check bool) "sat" true (Sat.solve s = Sat.Sat)
 
+(* [add_clause] intake: every simplification is observable through
+   [num_clauses] (clauses kept) and the answers that follow. *)
+let test_sat_add_clause_intake () =
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s and c = Sat.new_var s in
+  Sat.add_clause s [ a; -a; b ];
+  Alcotest.(check int) "tautology dropped" 0 (Sat.num_clauses s);
+  Sat.add_clause s [ b; a; b; a ];
+  Alcotest.(check int) "duplicates kept once" 1 (Sat.num_clauses s);
+  Alcotest.(check bool) "deduplicated clause binds" true
+    (Sat.solve ~assumptions:[ -a; -b ] s = Sat.Unsat);
+  Sat.add_clause s [ -c ];
+  Sat.add_clause s [ c; a; c ];
+  Alcotest.(check int) "level-0-false literal filtered to a unit" 3
+    (Sat.num_clauses s);
+  Alcotest.(check bool) "filtered unit holds" true
+    (Sat.solve ~assumptions:[ -a ] s = Sat.Unsat);
+  Sat.add_clause s [ a; b; c ];
+  Alcotest.(check int) "clause satisfied at level 0 dropped" 3
+    (Sat.num_clauses s);
+  Alcotest.(check bool) "still sat" true (Sat.solve s = Sat.Sat);
+  Sat.add_clause s [];
+  Alcotest.(check bool) "empty clause latches unsat" true
+    (Sat.solve s = Sat.Unsat);
+  Sat.add_clause s [ b ];
+  Alcotest.(check bool) "latched for good" true (Sat.solve s = Sat.Unsat)
+
+(* After a [Sat] answer the trail holds decisions; intake must judge
+   literals against level 0 only. *)
+let test_sat_add_clause_after_sat () =
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s and c = Sat.new_var s in
+  Sat.add_clause s [ a; b ];
+  Alcotest.(check bool) "sat" true (Sat.solve s = Sat.Sat);
+  let t = if Sat.value s a then a else b in
+  (* [t] is true only above level 0: the clause is neither satisfied
+     nor shortened. *)
+  Sat.add_clause s [ t; c ];
+  Alcotest.(check int) "clause kept" 2 (Sat.num_clauses s);
+  Sat.add_clause s [ -t ];
+  Alcotest.(check bool) "other literal carries [a; b]" true
+    (Sat.solve s = Sat.Sat && Sat.value s (if t = a then b else a));
+  Alcotest.(check bool) "[t; c] was kept whole" true
+    (Sat.solve ~assumptions:[ -c ] s = Sat.Unsat);
+  Alcotest.(check bool) "not latched" true (Sat.solve s = Sat.Sat)
+
 (* Random 3-SAT cross-checked against brute force. *)
 let brute_force_sat nvars clauses =
   let rec go assignment v =
@@ -396,53 +442,226 @@ let test_solver_nonlinear () =
     check_bv "model squares to 225" (Bv.of_int ~width:32 225) sq
   | Solver.Unsat | Solver.Unknown _ -> Alcotest.fail "expected sat"
 
-(* Small-width random queries against brute-force enumeration. *)
-let test_solver_random_vs_brute () =
-  let st = Random.State.make [| 23 |] in
-  let width = 4 in
-  for _ = 1 to 60 do
-    let x = Expr.fresh_var "rx" width and y = Expr.fresh_var "ry" width in
-    let rand_const () = Expr.const (Bv.make ~width (Random.State.int64 st 16L)) in
-    let rand_term () =
-      match Random.State.int st 4 with
-      | 0 -> x
-      | 1 -> y
-      | 2 -> Expr.add x y
-      | _ -> Expr.band x (rand_const ())
+(* Differential gate for the whole solving stack: random queries over
+   two variables of width 1-6, built from every [Expr] operator with
+   constant operands mixed in (so partially-constant circuits reach the
+   bit-blaster past [Expr]'s both-constant folding), decided by
+   brute-force enumeration and by two encodings — straight through
+   [Bitblast] on a fresh [Sat.t], and through [Solver.check] on a
+   retained scope that first sees each constraint alone, so the
+   conjunction reuses gates across queries.  Terms are generated as
+   builders over the two variables so the same shape can be
+   instantiated on fresh variables (for the run) and on named ones
+   (for the counterexample printout). *)
+type builder = Expr.t -> Expr.t -> Expr.t
+
+let max_diff_width = 6
+
+(* Variable [v] of width [vw] fitted to width [w]. *)
+let fit vw w v =
+  if w = vw then v
+  else if w < vw then Expr.extract ~hi:(w - 1) ~lo:0 v
+  else Expr.zext w v
+
+let rec gen_bv vw w depth st : builder =
+  let sub w' = gen_bv vw w' (depth - 1) st in
+  let leaf () =
+    match Random.State.int st 3 with
+    | 0 -> fun x _ -> fit vw w x
+    | 1 -> fun _ y -> fit vw w y
+    | _ ->
+      let k = Bv.make ~width:w (Random.State.int64 st (Int64.shift_left 1L w)) in
+      fun _ _ -> Expr.const k
+  in
+  let bin f =
+    let a = sub w and b = sub w in
+    fun x y -> f (a x y) (b x y)
+  in
+  if depth = 0 then leaf ()
+  else
+    match Random.State.int st 22 with
+    | 0 | 1 | 2 -> leaf ()
+    | 3 -> bin Expr.add
+    | 4 -> bin Expr.sub
+    | 5 -> bin Expr.mul
+    | 6 -> bin Expr.udiv
+    | 7 -> bin Expr.urem
+    | 8 -> bin Expr.sdiv
+    | 9 -> bin Expr.srem
+    | 10 -> bin Expr.band
+    | 11 -> bin Expr.bor
+    | 12 -> bin Expr.bxor
+    | 13 -> let a = sub w in fun x y -> Expr.bnot (a x y)
+    | 14 -> bin Expr.shl
+    | 15 -> bin Expr.lshr
+    | 16 -> bin Expr.ashr
+    | 17 ->
+      let c = gen_bool vw (depth - 1) st and a = sub w and b = sub w in
+      fun x y -> Expr.ite (c x y) (a x y) (b x y)
+    | 18 when w >= 2 ->
+      let lo_w = 1 + Random.State.int st (w - 1) in
+      let hi = sub (w - lo_w) and lo = sub lo_w in
+      fun x y -> Expr.concat (hi x y) (lo x y)
+    | 19 ->
+      let w' = w + Random.State.int st (max_diff_width - w + 1) in
+      let lo = Random.State.int st (w' - w + 1) in
+      let a = sub w' in
+      fun x y -> Expr.extract ~hi:(lo + w - 1) ~lo (a x y)
+    | 20 when w >= 2 ->
+      let a = sub (1 + Random.State.int st (w - 1)) in
+      fun x y -> Expr.zext w (a x y)
+    | 21 when w >= 2 ->
+      let a = sub (1 + Random.State.int st (w - 1)) in
+      fun x y -> Expr.sext w (a x y)
+    | _ -> leaf ()
+
+and gen_bool vw depth st : builder =
+  let cmp f =
+    let w = 1 + Random.State.int st max_diff_width in
+    let a = gen_bv vw w depth st and b = gen_bv vw w depth st in
+    fun x y -> f (a x y) (b x y)
+  in
+  let sub () = gen_bool vw (depth - 1) st in
+  match Random.State.int st (if depth = 0 then 5 else 9) with
+  | 0 -> cmp Expr.eq
+  | 1 -> cmp Expr.ult
+  | 2 -> cmp Expr.ule
+  | 3 -> cmp Expr.slt
+  | 4 -> cmp Expr.sle
+  | 5 -> let a = sub () in fun x y -> Expr.not_ (a x y)
+  | 6 -> let a = sub () and b = sub () in fun x y -> Expr.and_ (a x y) (b x y)
+  | 7 -> let a = sub () and b = sub () in fun x y -> Expr.or_ (a x y) (b x y)
+  | _ ->
+    let c = sub () and a = sub () and b = sub () in
+    fun x y -> Expr.ite (c x y) (a x y) (b x y)
+
+type diff_query = { vw : int; build : Expr.t -> Expr.t -> Expr.t list }
+
+let gen_diff_query st =
+  let vw = 1 + Random.State.int st max_diff_width in
+  let cs = List.init (1 + Random.State.int st 2) (fun _ -> gen_bool vw 2 st) in
+  { vw; build = (fun x y -> List.map (fun c -> c x y) cs) }
+
+let print_diff_query q =
+  let x = Expr.fresh_var "x" q.vw and y = Expr.fresh_var "y" q.vw in
+  Printf.sprintf "width %d: %s" q.vw
+    (String.concat " & " (List.map Expr.to_string (q.build x y)))
+
+let var_of (t : Expr.t) =
+  match t.Expr.node with Expr.Var v -> v | _ -> assert false
+
+(* Is some assignment of x (with y the only other variable) a model? *)
+let brute_sat vw xv cs =
+  let n = 1 lsl vw in
+  let holds i =
+    let lookup (v : Expr.var) =
+      Bv.of_int ~width:vw
+        (if v.Expr.var_id = xv.Expr.var_id then i / n else i mod n)
     in
-    let rand_cmp () =
-      let a = rand_term () and b = rand_const () in
-      match Random.State.int st 3 with
-      | 0 -> Expr.eq a b
-      | 1 -> Expr.ult a b
-      | _ -> Expr.ugt a b
-    in
-    let constraints = List.init (1 + Random.State.int st 3) (fun _ -> rand_cmp ()) in
-    let expected =
-      let found = ref false in
-      for vx = 0 to 15 do
-        for vy = 0 to 15 do
-          let lookup (v : Expr.var) =
-            if v.Expr.var_name = "rx" then Bv.of_int ~width vx
-            else Bv.of_int ~width vy
+    List.for_all (Expr.eval_bool lookup) cs
+  in
+  let rec go i = i < n * n && (holds i || go (i + 1)) in
+  go 0
+
+let blast_sat xv yv cs =
+  let sat = Sat.create () in
+  let ctx = Smt.Bitblast.create sat in
+  List.iter (Smt.Bitblast.assert_true ctx) cs;
+  match Sat.solve sat with
+  | Sat.Unsat -> false
+  | Sat.Sat ->
+    let m = Smt.Bitblast.extract_model ctx [ xv; yv ] in
+    if not (Model.satisfies m cs) then
+      QCheck.Test.fail_reportf "bit-blast model %s fails evaluation"
+        (Model.to_string m);
+    true
+
+let solver_sat scope cs =
+  match Solver.check ~scope cs with
+  | Solver.Sat m ->
+    if not (Model.satisfies m cs) then
+      QCheck.Test.fail_reportf "solver model %s fails evaluation"
+        (Model.to_string m);
+    true
+  | Solver.Unsat -> false
+  | Solver.Unknown msg -> QCheck.Test.fail_reportf "unknown: %s" msg
+
+let test_solver_random_vs_brute =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"solver: random vs brute force"
+       (QCheck.make ~print:print_diff_query gen_diff_query)
+       (fun q ->
+          let x = Expr.fresh_var "x" q.vw and y = Expr.fresh_var "y" q.vw in
+          let xv = var_of x and yv = var_of y in
+          let cs = q.build x y in
+          let scope = Solver.Scope.create () in
+          let agree cs =
+            let expected = brute_sat q.vw xv cs in
+            let blasted = blast_sat xv yv cs in
+            let solved = solver_sat scope cs in
+            if blasted <> expected || solved <> expected then
+              QCheck.Test.fail_reportf
+                "brute force %b, bit-blast %b, solver %b on %s" expected
+                blasted solved
+                (String.concat " & " (List.map Expr.to_string cs));
+            true
           in
-          if List.for_all (Expr.eval_bool lookup) constraints then found := true
-        done
-      done;
-      !found
-    in
-    let got =
-      match Solver.check constraints with
-      | Solver.Sat m ->
-        Alcotest.(check bool) "model valid" true (Model.satisfies m constraints);
-        true
-      | Solver.Unsat -> false
-      | Solver.Unknown msg -> Alcotest.failf "unknown: %s" msg
-    in
-    if got <> expected then
-      Alcotest.failf "solver mismatch (got %b, want %b) on %s" got expected
-        (String.concat " & " (List.map Expr.to_string constraints))
-  done
+          List.for_all (fun c -> agree [ c ]) cs && agree cs))
+
+(* Gate-level folding: constant operand bits cost no variables. *)
+let test_bitblast_constant_folding () =
+  let vars_for e =
+    let sat = Sat.create () in
+    ignore (Smt.Bitblast.literal (Smt.Bitblast.create sat) e);
+    Sat.num_vars sat
+  in
+  let e_int8 = Expr.int ~width:8 in
+  let x = Expr.fresh_var "fx" 8 and y = Expr.fresh_var "fy" 8 in
+  (* [Expr] folds x & 0 to 0, leaving y's 8 bits, the constant-true
+     literal and one n-ary AND over the negated bits of y. *)
+  Alcotest.(check int) "x & 0 = y" (8 + 1 + 1)
+    (vars_for (Expr.eq (Expr.band x (e_int8 0)) y));
+  (* 8 + 8 input bits and the true literal.  Four masked-off bits
+     compare y against false (no gate), four need an xnor, plus one
+     n-ary AND. *)
+  Alcotest.(check int) "x & 0xF0 = y" (17 + 4 + 1)
+    (vars_for (Expr.eq (Expr.band x (e_int8 0xF0)) y));
+  (* x < 5: 8 input bits, the true literal, and one carry gate per bit
+     above bit 0 (bit 0 of 5 is set, so its carry folds to x0). *)
+  Alcotest.(check int) "x < 5" (9 + 7) (vars_for (Expr.ult x (e_int8 5)));
+  (* x * 4 is wiring: the product bits are x shifted, with no gates. *)
+  Alcotest.(check int) "x * 4 = y" (17 + 6 + 1)
+    (vars_for (Expr.eq (Expr.mul x (e_int8 4)) y));
+  (* 1 << x: one n-ary OR over x7..x3 for saturation; 0 + 4 + 8 gates
+     over the three stages, since the constant input bits fold and
+     stage 0 is wiring (bit 0 is -x0, bit 1 is x0); 8 ANDs clearing
+     the result on saturation; y = that costs 8 xnors and the AND. *)
+  Alcotest.(check int) "1 << x = y" (17 + 1 + 12 + 8 + 8 + 1)
+    (vars_for (Expr.eq (Expr.shl (e_int8 1) x) y))
+
+(* Structural hashing: a second term with a different [Expr] id but
+   the same circuit allocates nothing. *)
+let test_bitblast_strash_hit () =
+  let sat = Sat.create () in
+  let ctx = Smt.Bitblast.create sat in
+  let x = Expr.fresh_var "hx" 8 and y = Expr.fresh_var "hy" 8 in
+  let z = Expr.fresh_var "hz" 8 in
+  let first = Expr.eq (Expr.bnot (Expr.band x y)) z in
+  let second = Expr.eq (Expr.bor (Expr.bnot x) (Expr.bnot y)) z in
+  let split = Expr.concat (Expr.extract ~hi:7 ~lo:4 x) (Expr.extract ~hi:3 ~lo:0 x) in
+  let sum = Expr.ult (Expr.add x y) z in
+  let sum' = Expr.ult (Expr.add split y) z in
+  Alcotest.(check bool) "distinct terms" true
+    (first != second && sum != sum');
+  let l1 = Smt.Bitblast.literal ctx first in
+  let l2 = Smt.Bitblast.literal ctx sum in
+  let n = Sat.num_vars sat and m = Sat.num_clauses sat in
+  Alcotest.(check int) "De Morgan twin shares the literal" l1
+    (Smt.Bitblast.literal ctx second);
+  Alcotest.(check int) "rewired adder shares the literal" l2
+    (Smt.Bitblast.literal ctx sum');
+  Alcotest.(check int) "no new variables" n (Sat.num_vars sat);
+  Alcotest.(check int) "no new clauses" m (Sat.num_clauses sat)
 
 let test_solver_cache () =
   Solver.clear_caches ();
@@ -774,15 +993,16 @@ let test_solver_stats_json_roundtrip () =
       interval_unsat = 6; interval_sat = 8; sat_calls = 10;
       sat_conflicts = 11; sat_decisions = 12; sat_propagations = 13;
       sat_timeouts = 14; sat_retries = 15; scope_pushes = 16; scope_pops = 17;
-      scope_reused = 18; scope_rebuilds = 19; time = 1.5; interval_time = 0.25;
-      bitblast_time = 0.5; sat_time = 0.75 }
+      scope_reused = 18; scope_rebuilds = 19; cnf_vars = 20; cnf_clauses = 21;
+      time = 1.5; interval_time = 0.25; bitblast_time = 0.5; sat_time = 0.75 }
   in
   let s' = Solver.Stats.of_json (Solver.Stats.to_json s) in
   Alcotest.(check bool) "roundtrip" true (s = s');
   (* Missing fields default to zero (forward compatibility). *)
   let z = Solver.Stats.of_json (Obs.Json.Obj [ ("queries", Obs.Json.Int 3) ]) in
   Alcotest.(check int) "present field" 3 z.Solver.Stats.queries;
-  Alcotest.(check int) "missing field" 0 z.Solver.Stats.sat_timeouts
+  Alcotest.(check int) "missing field" 0 z.Solver.Stats.sat_timeouts;
+  Alcotest.(check int) "missing cnf counter" 0 z.Solver.Stats.cnf_clauses
 
 (* ------------------------------------------------------------------ *)
 (* Incremental solving: assumptions, scopes, the shared retry budget   *)
@@ -992,10 +1212,15 @@ let suite =
     ("sat: empty clause", `Quick, test_sat_empty_clause);
     ("sat: tautology", `Quick, test_sat_tautology_dropped);
     ("sat: random vs brute force", `Quick, test_sat_random_vs_brute);
+    ("sat: add_clause intake", `Quick, test_sat_add_clause_intake);
+    ("sat: add_clause after a Sat answer", `Quick,
+     test_sat_add_clause_after_sat);
+    ("bitblast: constant folding", `Quick, test_bitblast_constant_folding);
+    ("bitblast: structural hashing", `Quick, test_bitblast_strash_hit);
     ("solver: basic", `Quick, test_solver_basic);
     ("solver: empty and const", `Quick, test_solver_empty_and_const);
     ("solver: nonlinear", `Quick, test_solver_nonlinear);
-    ("solver: random vs brute force", `Quick, test_solver_random_vs_brute);
+    test_solver_random_vs_brute;
     ("solver: query cache", `Quick, test_solver_cache);
     ("slice: partition crafted sets", `Quick, test_slice_partition);
     ("slice: partition is a partition (random)", `Quick,
