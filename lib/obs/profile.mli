@@ -5,8 +5,10 @@
     assume, ...) via [set_origin].  Wall time lands in buckets keyed by
     (origin, stage), where stage is one of the solver's pipeline stages
     ("interval", "bitblast", "sat"), a slice shortcut ("slice:cache",
-    "slice:cex"), or "other" (top-level query time not covered by any
-    inner stage).
+    "slice:cex"), query-level work around them ("slice" for
+    partitioning and cache keys, "model-check" for the safety-net
+    evaluation of models), or "other" (top-level query time not covered
+    by any inner stage).
 
     Like {!Coverage}, recording goes to a global registry and a run's
     profile is the delta [sub (get ()) baseline]; the invariant

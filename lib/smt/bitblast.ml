@@ -20,13 +20,24 @@ type ctx = {
   mutable steps : int;                 (* poll subsampling counter *)
 }
 
-let create ?deadline ?stop sat =
+let create sat =
   { sat; memo = Hashtbl.create 1024; vars = Hashtbl.create 64;
     strash = Hashtbl.create 1024; true_lit = 0;
-    deadline; stop; steps = 0 }
+    deadline = None; stop = None; steps = 0 }
 
-(* A context retained across queries (Solver.Scope) carries a different
-   budget each time. *)
+(* Empty the context for reuse over its (separately reset) SAT
+   instance: with the tables cleared and no constant literal, the next
+   encoding allocates exactly the variables and clauses a fresh context
+   would. *)
+let reset ctx =
+  Hashtbl.clear ctx.memo;
+  Hashtbl.clear ctx.vars;
+  Hashtbl.clear ctx.strash;
+  ctx.true_lit <- 0;
+  ctx.steps <- 0
+
+(* A context reused across queries carries a different budget each
+   time. *)
 let set_deadline ctx d = ctx.deadline <- d
 let set_stop ctx f = ctx.stop <- f
 

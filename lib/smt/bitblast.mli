@@ -12,20 +12,24 @@
 
 type ctx
 
-val create : ?deadline:float -> ?stop:(unit -> bool) -> Sat.t -> ctx
-(** [deadline] (absolute [Unix.gettimeofday] instant) and [stop] are
-    polled during translation — subsampled at term-node boundaries — and
-    raise {!Sat.Timeout} / {!Sat.Interrupted} respectively, so encoding
-    a huge term respects the same per-query budget as the CDCL search
-    that follows it. *)
+val create : Sat.t -> ctx
+(** A context with no deadline and no stop predicate. *)
+
+val reset : ctx -> unit
+(** Forget every encoded term and gate.  Together with {!Sat.reset} on
+    the context's instance, the pair then behaves exactly like
+    [create (Sat.create ())]: the same terms encode to the same CNF. *)
 
 val set_deadline : ctx -> float option -> unit
-(** Replace the deadline polled during translation.  A context kept
-    alive across queries ({!Solver.Scope}) gets a fresh per-query
-    budget each time. *)
+(** Set the deadline (absolute [Unix.gettimeofday] instant) polled
+    during translation — subsampled at term-node boundaries — which
+    raises {!Sat.Timeout} once passed, so encoding a huge term respects
+    the same per-query budget as the CDCL search that follows it.  A
+    context reused across queries gets a fresh budget each time. *)
 
 val set_stop : ctx -> (unit -> bool) option -> unit
-(** Replace the external-stop predicate polled during translation. *)
+(** Set the external-stop predicate polled at the same points; it
+    raises {!Sat.Interrupted} when it returns [true]. *)
 
 val assert_true : ctx -> Expr.t -> unit
 (** Assert a boolean term as a top-level constraint. *)

@@ -492,6 +492,49 @@ let vars t =
   go t;
   List.sort (fun a b -> Int.compare a.var_id b.var_id) !acc
 
+(* Pruning the hash-cons table.  The table holds its terms strongly, so
+   without pruning every term a run ever built stays alive.  A term over
+   a variable created during a run can never be rebuilt after it: later
+   variables get fresh ids, and [Node_key] compares variables by id.  So
+   dropping those entries when the run ends changes no lookup and no id.
+   The table is deliberately not weak: ids order the operands of
+   commutative terms ([commute]), so ids that depended on when the GC
+   ran would make term shapes, and the models built over them, depend
+   on it too. *)
+type mark = { first_term : int; first_var : int }
+
+let mark () = { first_term = !next_id; first_var = !next_var_id }
+
+let term_count () = Table.length table
+
+let prune_since m =
+  (* A term is at least as new as its subterms, so one older than the
+     mark cannot mention a variable created after it. *)
+  let memo : (int, bool) Hashtbl.t = Hashtbl.create 1024 in
+  let rec mentions t =
+    t.id >= m.first_term
+    &&
+    match Hashtbl.find_opt memo t.id with
+    | Some b -> b
+    | None ->
+      let b =
+        match t.node with
+        | Var v -> v.var_id >= m.first_var
+        | Bool_const _ | Bv_const _ -> false
+        | Not x | Bnot x | Extract (_, _, x) | Zext (_, x) | Sext (_, x) ->
+          mentions x
+        | Andb (a, b) | Orb (a, b) | Cmp (_, a, b) | Bin (_, a, b)
+        | Concat (a, b) ->
+          mentions a || mentions b
+        | Ite (c, a, b) -> mentions c || mentions a || mentions b
+      in
+      Hashtbl.add memo t.id b;
+      b
+  in
+  Table.filter_map_inplace
+    (fun _ t -> if mentions t then None else Some t)
+    table
+
 let eval_memo lookup t =
   let memo : (int, Bv.t) Hashtbl.t = Hashtbl.create 64 in
   let bv_of_bool b = Bv.of_bool b in

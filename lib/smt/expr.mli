@@ -153,6 +153,24 @@ val eval : (var -> Bv.t) -> t -> Bv.t
 val eval_bool : (var -> Bv.t) -> t -> bool
 (** Evaluate a boolean term under an assignment. *)
 
+(* Hash-cons table lifetime. *)
+
+type mark
+(** A point in term and variable allocation. *)
+
+val mark : unit -> mark
+
+val prune_since : mark -> unit
+(** Drop from the hash-cons table every term that mentions a variable
+    allocated after the mark.  Such a term can no longer be looked up
+    once no code builds over those variables, as after a symbolic run;
+    existing references stay valid, and term and variable ids are never
+    reused.  Call it when the variables are out of use: a term rebuilt
+    over them afterwards is a new, physically different term. *)
+
+val term_count : unit -> int
+(** Number of terms in the hash-cons table. *)
+
 val size : t -> int
 (** Number of distinct subterms (DAG size). *)
 

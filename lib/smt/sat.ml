@@ -111,8 +111,14 @@ let new_var t =
   t.trail <- grow_int_array t.trail n 0;
   t.trail_lim <- grow_int_array t.trail_lim n 0;
   t.seen <- grow_bool_array t.seen n;
+  (* A variable slot may be reused after [reset]: initialise every
+     per-variable field a fresh array would hold. *)
   t.assign.(v) <- -1;
+  t.level.(v) <- 0;
   t.reason.(v) <- -1;
+  t.activity.(v) <- 0.0;
+  t.phase.(v) <- false;
+  t.seen.(v) <- false;
   let nlits = 2 * n + 2 in
   if Array.length t.watches < nlits then begin
     let w = Array.make (max nlits (2 * Array.length t.watches)) (Ivec.create ()) in
@@ -123,6 +129,27 @@ let new_var t =
     t.watches <- w
   end;
   v
+
+(* Empty the instance for reuse, keeping its arrays: only the slots
+   the previous use touched are cleared, so a reset costs no more than
+   the use before it.  Per-variable fields are re-initialised by
+   [new_var] as variables are allocated again. *)
+let reset t =
+  for l = 0 to min (Array.length t.watches - 1) (2 * t.nvars + 1) do
+    t.watches.(l).Ivec.len <- 0
+  done;
+  Array.fill t.clauses 0 t.nclauses [||];
+  t.nvars <- 0;
+  t.nclauses <- 0;
+  t.trail_len <- 0;
+  t.trail_lim_len <- 0;
+  t.qhead <- 0;
+  t.unsat <- false;
+  t.var_inc <- 1.0;
+  t.conflicts <- 0;
+  t.decisions <- 0;
+  t.propagations <- 0;
+  t.added <- 0
 
 let num_vars t = t.nvars
 let num_clauses t = t.added

@@ -13,6 +13,12 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empty the instance so it behaves exactly like a fresh one from
+    {!create}: same variable numbering, same clause set, same search and
+    counters from zero.  Allocated arrays are kept for the next use.
+    Safe after any exception, including one raised mid-encoding. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index (starting at 1). *)
 

@@ -406,6 +406,21 @@ let stage name timef record f =
       ~args:(record r) name;
   r
 
+(* Query-level work outside the pipeline stages gets its own profile
+   stage, so the "other" remainder holds only glue: "slice" for
+   partitioning, variable collection and cache keys, "model-check" for
+   the safety-net evaluation of every model a SAT call or a slice merge
+   returns. *)
+let profiled name f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  Obs.Profile.record ~stage:name (Unix.gettimeofday () -. t0);
+  r
+
+let check_model what model constraints =
+  if not (profiled "model-check" (fun () -> Model.satisfies model constraints))
+  then failwith ("Solver: internal error, " ^ what ^ " model fails evaluation")
+
 (* Bounded retry-with-restart around the SAT backend: a query that
    comes back Unknown (conflict limit, timeout, injected fault) is
    retried up to [retries] times, each attempt re-encoded from scratch
@@ -424,20 +439,28 @@ let note_cnf sat ~vars0 ~clauses0 =
         cnf_vars = !current.cnf_vars + Sat.num_vars sat - vars0;
         cnf_clauses = !current.cnf_clauses + Sat.num_clauses sat - clauses0 })
 
+(* The scratch pipeline's one SAT instance and encoding context, reset
+   at the start of every attempt instead of allocated per query.  A
+   reset pair is indistinguishable from a fresh one, so a scratch model
+   stays a pure function of the slice; resetting on entry (not on exit)
+   means an attempt abandoned mid-encoding leaves nothing behind. *)
+let scratch_sat = Sat.create ()
+let scratch_ctx = Bitblast.create scratch_sat
+
 let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
-  let sat = Sat.create () in
+  let sat = scratch_sat and ctx = scratch_ctx in
+  Sat.reset sat;
+  Bitblast.reset ctx;
   let stop () = !interrupt_check () in
+  Bitblast.set_deadline ctx deadline;
+  Bitblast.set_stop ctx (Some stop);
   let blast =
     stage "bitblast"
       (fun s dt -> { s with Stats.bitblast_time = s.Stats.bitblast_time +. dt })
       (fun _ -> [ ("vars", Obs.Event.Int (Sat.num_vars sat)) ])
       (fun () ->
-         match
-           let ctx = Bitblast.create ?deadline ~stop sat in
-           List.iter (Bitblast.assert_true ctx) constraints;
-           ctx
-         with
-         | ctx -> Ok ctx
+         match List.iter (Bitblast.assert_true ctx) constraints with
+         | () -> Ok ()
          | exception Sat.Timeout ->
            Stats.(
              current :=
@@ -448,7 +471,7 @@ let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
   note_cnf sat ~vars0:0 ~clauses0:0;
   match blast with
   | Error msg -> Unknown msg
-  | Ok ctx ->
+  | Ok () ->
     if attempt > 0 then Sat.perturb sat (Int64.of_int attempt);
     let result =
       stage "sat"
@@ -485,8 +508,7 @@ let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
      | Ok Sat.Sat ->
        let model = Bitblast.extract_model ctx vars in
        (* Safety net: a model must satisfy the query by evaluation. *)
-       if not (Model.satisfies model constraints) then
-         failwith "Solver: internal error, SAT model fails evaluation";
+       check_model "SAT" model constraints;
        Sat model)
 
 (* The incremental variant of [solve_with_sat]: reuse the family's
@@ -578,8 +600,7 @@ let scope_solve scope ?conflict_limit ?deadline ~attempt constraints vars =
      | Ok Sat.Sat ->
        let model = Bitblast.extract_model ctx vars in
        (* Safety net: a model must satisfy the query by evaluation. *)
-       if not (Model.satisfies model constraints) then
-         failwith "Solver: internal error, SAT model fails evaluation";
+       check_model "SAT" model constraints;
        Sat model)
 
 (* One SAT attempt, chaos points included: [Solver_unknown] replaces
@@ -694,16 +715,19 @@ let solve_slice ?scope ?conflict_limit ?deadline constraints vars =
    [solver/slice] span per slice when the sink is enabled. *)
 let check_slice ?scope ?conflict_limit ?deadline constraints =
   let t0 = Unix.gettimeofday () in
+  let clock0 = Obs.Profile.stage_clock () in
   Stats.(current := { !current with slices = !current.slices + 1 });
   let finish ~via r =
     let dt = Unix.gettimeofday () -. t0 in
     (* Cache shortcuts bypass the timed pipeline stages; attribute their
-       (small) wall time explicitly so the profile still sums to the
-       solver total.  Pipeline slices are covered by the inner stage
-       records plus the query-level "other" remainder. *)
+       (small) wall time not already recorded as "slice" explicitly, so
+       the profile still sums to the solver total.  Pipeline slices are
+       covered by the inner stage records plus the query-level "other"
+       remainder. *)
+    let own () = dt -. (Obs.Profile.stage_clock () -. clock0) in
     (match via with
-     | "cache" -> Obs.Profile.record ~stage:"slice:cache" dt
-     | "cex" -> Obs.Profile.record ~stage:"slice:cex" dt
+     | "cache" -> Obs.Profile.record ~stage:"slice:cache" (own ())
+     | "cex" -> Obs.Profile.record ~stage:"slice:cex" (own ())
      | _ -> ());
     if !Obs.Sink.enabled then
       Obs.Sink.complete ~cat:"solver" ~dur_us:(dt *. 1e6)
@@ -728,6 +752,7 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
     finish ~via:"cache" r
   | None ->
     let vars = Slice.vars constraints in
+    Obs.Profile.record ~stage:"slice" (Unix.gettimeofday () -. t0);
     (match cex_lookup vars constraints with
      | Some m ->
        Stats.(
@@ -764,7 +789,8 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
    are still examined, since any of them may still prove Unsat. *)
 let solve_sliced ?scope ?conflict_limit ?deadline constraints =
   let slices =
-    if !independence then Slice.partition constraints else [ constraints ]
+    profiled "slice" (fun () ->
+        if !independence then Slice.partition constraints else [ constraints ])
   in
   let rec solve_all model unknown = function
     | [] ->
@@ -774,8 +800,7 @@ let solve_sliced ?scope ?conflict_limit ?deadline constraints =
          (* Safety net: the merged model must satisfy the whole set
             by evaluation (slices bind disjoint variables, so this
             can only fail if the partition itself is wrong). *)
-         if not (Model.satisfies model constraints) then
-           failwith "Solver: internal error, merged model fails evaluation";
+         check_model "merged" model constraints;
          Sat model)
     | s :: rest ->
       (match check_slice ?scope ?conflict_limit ?deadline s with
@@ -883,20 +908,23 @@ let check_pair ?scope ?conflict_limit ?timeout_ms ~cond pc =
       in
       finish (Unsat, r)
     | None ->
-      let cond_vars = Slice.vars [ cond ] in
-      let touches s =
-        let vs = Slice.vars s in
-        List.exists
-          (fun (v : Expr.var) ->
-             List.exists
-               (fun (v' : Expr.var) -> v.Expr.var_id = v'.Expr.var_id)
-               cond_vars)
-          vs
+      let touching, common =
+        profiled "slice" (fun () ->
+            let cond_vars = Slice.vars [ cond ] in
+            let touches s =
+              let vs = Slice.vars s in
+              List.exists
+                (fun (v : Expr.var) ->
+                   List.exists
+                     (fun (v' : Expr.var) -> v.Expr.var_id = v'.Expr.var_id)
+                     cond_vars)
+                vs
+            in
+            let slices =
+              if !independence then Slice.partition pc else [ pc ]
+            in
+            List.partition touches slices)
       in
-      let slices =
-        if !independence then Slice.partition pc else [ pc ]
-      in
-      let touching, common = List.partition touches slices in
       (* Common prefix slices: solved once, verdict shared. *)
       let rec go model unknown = function
         | [] -> `Common (model, unknown)
@@ -921,9 +949,7 @@ let check_pair ?scope ?conflict_limit ?timeout_ms ~cond pc =
               | Some msg -> Unknown msg
               | None ->
                 let full = Model.union model m in
-                if not (Model.satisfies full (lit :: pc)) then
-                  failwith
-                    "Solver: internal error, merged model fails evaluation";
+                check_model "merged" full (lit :: pc);
                 Sat full)
          in
          let rt = child cond deadline in

@@ -160,9 +160,9 @@ val set_independence : bool -> unit
 val set_incremental : bool -> unit
 (** Enable or disable incremental scope solving (enabled by default).
     When disabled, [check] with a [scope] falls back to the scratch
-    bit-blast + fresh-[Sat.create] path; results are identical either
-    way, only cost differs.  Used by [--no-incremental] and the
-    incremental-ablation benchmark. *)
+    path (bit-blasting onto the reset scratch instance); results are
+    identical either way, only cost differs.  Used by
+    [--no-incremental] and the incremental-ablation benchmark. *)
 
 val incremental_enabled : unit -> bool
 (** Current incremental-mode setting. *)

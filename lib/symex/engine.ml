@@ -612,13 +612,22 @@ let check_kind kind ~site ?(message = "property violated") cond =
         | Solver.Unsat -> raise (Terminate_path End_infeasible)
         | Solver.Unknown msg -> solver_unknown st msg)
      | None ->
-       (match path_model st (Expr.not_ cond :: ps.pc) with
-        | Solver.Sat m ->
-          record_error st ps kind site message m;
-          (* The failing side terminates; continue on the passing side
-             when it is feasible. *)
-          if feasible st (cond :: ps.pc) then extend_pc st ps cond
-          else raise (Terminate_path End_error)
+       (* Nearly every check holds, so the verdict comes from the
+          scope; only a violation consumes a model, and its witness is
+          the scratch query [path_model] would have answered alone. *)
+       let violated = Expr.not_ cond :: ps.pc in
+       (match path_check st violated with
+        | Solver.Sat _ ->
+          (match path_model st violated with
+           | Solver.Sat m ->
+             record_error st ps kind site message m;
+             (* The failing side terminates; continue on the passing
+                side when it is feasible. *)
+             if feasible st (cond :: ps.pc) then extend_pc st ps cond
+             else raise (Terminate_path End_error)
+           | Solver.Unsat ->
+             failwith "Engine.check: scope and scratch verdicts disagree"
+           | Solver.Unknown msg -> solver_unknown st msg)
         | Solver.Unsat -> extend_pc st ps cond
         | Solver.Unknown msg -> solver_unknown st msg))
 
@@ -1478,7 +1487,13 @@ module Session = struct
       stop_after_errors = t.stop_after_errors;
       snapshots = t.snapshots }
 
+  (* Every symbolic variable of a run is allocated inside it, so when
+     the run ends its terms are pruned from the hash-cons table: a
+     process running many sessions keeps only the terms that outlive
+     them. *)
   let run ?(label = "run") t body =
+    let mark = Expr.mark () in
+    Fun.protect ~finally:(fun () -> Expr.prune_since mark) @@ fun () ->
     let rep =
       if t.workers = 1 && t.listen = None then
         seq_run ~config:(config t) ~label ?resume:t.resume

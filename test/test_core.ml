@@ -468,6 +468,28 @@ let test_duration_format () =
   Alcotest.(check string) "minutes" "2m" (Symsysc.Tables.format_duration 65.0);
   Alcotest.(check string) "hours" "24h" (Symsysc.Tables.format_duration 86400.0)
 
+(* Every run prunes the hash-cons terms over its own variables, so
+   back-to-back runs in one process leave the table the same size — and
+   since a pruned term could never have been looked up again, the second
+   run is the same run as the first, down to the solver counters. *)
+let test_repeated_runs_prune () =
+  let run () =
+    let r = Verify.run_test (scenario ()) "t1" in
+    (r, Smt.Expr.term_count ())
+  in
+  let r1, n1 = run () in
+  let r2, n2 = run () in
+  Alcotest.(check int) "term table size after each run" n1 n2;
+  Alcotest.(check (list string)) "reports agree" []
+    (Symsysc.Diff.compare_reports (Report.to_json r1) (Report.to_json r2));
+  let counters (r : Report.t) =
+    { r.Report.engine.Engine.solver_stats with
+      Smt.Solver.Stats.time = 0.0; interval_time = 0.0; bitblast_time = 0.0;
+      sat_time = 0.0 }
+  in
+  Alcotest.(check bool) "solver counters identical" true
+    (counters r1 = counters r2)
+
 let suite =
   [
     ("table1: verdict pattern", `Slow, test_table1_verdicts);
@@ -491,6 +513,8 @@ let suite =
     ("orchestration: unknown test rejected", `Quick, test_unknown_test_rejected);
     ("orchestration: bug name roundtrip", `Quick, test_bug_names_roundtrip);
     ("orchestration: duration format", `Quick, test_duration_format);
+    ("pruning: repeated runs keep the term table flat", `Quick,
+     test_repeated_runs_prune);
     ("explain: known sites attributed", `Slow, test_explain_known_sites);
     ("driver: concrete program", `Quick, test_driver_concrete_program);
     ("driver: symbolic masking program", `Quick, test_driver_symbolic_program);

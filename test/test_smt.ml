@@ -165,6 +165,28 @@ let test_expr_extract_rewrites () =
   Alcotest.(check bool) "extract of zext high part is zero" true
     (Expr.equal (Expr.extract ~hi:63 ~lo:32 z) (Expr.int ~width:32 0))
 
+(* Pruning drops exactly the terms over variables allocated after the
+   mark; everything older, and every newer term over older variables,
+   keeps its identity. *)
+let test_expr_prune_since () =
+  let x = Expr.fresh_var "prune_old" 8 in
+  let build v = Expr.add (Expr.mul v v) (Expr.int ~width:8 3) in
+  let older = build x in
+  let mark = Expr.mark () in
+  let y = Expr.fresh_var "prune_new" 8 in
+  let mixed = Expr.add older y in
+  let newer_over_x = Expr.bxor x (Expr.int ~width:8 5) in
+  let before = Expr.term_count () in
+  Expr.prune_since mark;
+  Alcotest.(check int) "the new variable and the mixed term dropped"
+    (before - 2) (Expr.term_count ());
+  Alcotest.(check bool) "older term rebuilt physically equal" true
+    (build x == older);
+  Alcotest.(check bool) "newer term over an older variable kept" true
+    (Expr.bxor x (Expr.int ~width:8 5) == newer_over_x);
+  Alcotest.(check bool) "term over a newer variable dropped" true
+    (Expr.add older y != mixed)
+
 let test_expr_vars () =
   let x = Expr.fresh_var "x" 8 and y = Expr.fresh_var "y" 8 in
   let e = Expr.add (Expr.mul x y) x in
@@ -607,6 +629,156 @@ let test_solver_random_vs_brute =
             true
           in
           List.for_all (fun c -> agree [ c ]) cs && agree cs))
+
+(* [Sat.reset] and [Bitblast.reset] must turn a used instance back into
+   a fresh one: the scratch pipeline reuses one pair for every query, so
+   any state that survived a reset would make scratch models depend on
+   the queries before them.  Each case dirties a pair with an earlier
+   encoding and CNF, optionally abandons it by [Sat.Timeout]
+   mid-encoding or mid-search, resets it, and then solves a random CNF
+   (with or without assumptions) and a random bitvector query on it and
+   on a fresh pair: result, model, CNF size and search counters must
+   all match. *)
+type reuse_case = {
+  r_vars : int;
+  r_cnf : int list list;
+  r_assumptions : int list;
+  r_prior : int list list;     (* CNF of the earlier use, r_vars + 6 vars *)
+  r_abandon : [ `None | `Encoding of int | `Search ];
+  r_query : diff_query;
+}
+
+(* Mostly 3-literal clauses near the satisfiability threshold, so the
+   search sees conflicts, learning and restarts. *)
+let gen_cnf st nvars =
+  List.init (3 * nvars + Random.State.int st (2 * nvars)) (fun _ ->
+      List.init (if Random.State.int st 8 = 0 then 2 else 3) (fun _ ->
+          let v = 1 + Random.State.int st nvars in
+          if Random.State.bool st then v else -v))
+
+let gen_reuse_case st =
+  let r_vars = 2 + Random.State.int st 12 in
+  let r_assumptions =
+    List.init (Random.State.int st 4) (fun _ ->
+        let v = 1 + Random.State.int st r_vars in
+        if Random.State.bool st then v else -v)
+  in
+  { r_vars; r_cnf = gen_cnf st r_vars; r_assumptions;
+    r_prior = gen_cnf st (r_vars + 6);
+    r_abandon =
+      (match Random.State.int st 3 with
+       | 0 -> `None
+       | 1 -> `Encoding (2 + Random.State.int st 3)
+       | _ -> `Search);
+    r_query = gen_diff_query st }
+
+let print_reuse_case c =
+  Printf.sprintf "%d vars, cnf %s, assumptions [%s], abandon %s, query %s"
+    c.r_vars
+    (String.concat " & "
+       (List.map
+          (fun cl -> "(" ^ String.concat " | " (List.map string_of_int cl) ^ ")")
+          c.r_cnf))
+    (String.concat "; " (List.map string_of_int c.r_assumptions))
+    (match c.r_abandon with
+     | `None -> "no"
+     | `Encoding k -> Printf.sprintf "mid-encoding (poll %d)" k
+     | `Search -> "mid-search")
+    (print_diff_query c.r_query)
+
+(* Everything observable about one use of an instance. *)
+let sat_trace s result model =
+  ( result, model, Sat.num_vars s, Sat.num_clauses s, Sat.stats_conflicts s,
+    Sat.stats_decisions s, Sat.stats_propagations s )
+
+let solve_cnf s nvars cnf assumptions =
+  for _ = 1 to nvars do ignore (Sat.new_var s) done;
+  List.iter (Sat.add_clause s) cnf;
+  let r = Sat.solve ~assumptions s in
+  let model =
+    if r = Sat.Sat then List.init nvars (fun i -> Sat.value s (i + 1)) else []
+  in
+  sat_trace s r model
+
+let solve_query sat ctx xv yv cs =
+  List.iter (Smt.Bitblast.assert_true ctx) cs;
+  let r = Sat.solve sat in
+  let model =
+    if r = Sat.Sat then
+      Model.to_string (Smt.Bitblast.extract_model ctx [ xv; yv ])
+    else ""
+  in
+  sat_trace sat r model
+
+(* A term of a few hundred nodes, so that encoding polls its stop
+   predicate several times. *)
+let big_term () =
+  let x = Expr.fresh_var "reuse_big" 16 in
+  let acc = ref x in
+  for i = 1 to 100 do
+    acc := Expr.add (Expr.mul !acc x) (Expr.int ~width:16 i)
+  done;
+  Expr.eq !acc (Expr.int ~width:16 7)
+
+let test_sat_reset_is_create =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"sat: reset behaves like create"
+       (QCheck.make ~print:print_reuse_case gen_reuse_case)
+       (fun c ->
+          let sat = Sat.create () in
+          let ctx = Smt.Bitblast.create sat in
+          (* The earlier use, left standing on the instance: the same
+             query shape over other variables (so stale gate hashes
+             would collide with the later encoding), then a CNF. *)
+          List.iter
+            (Smt.Bitblast.assert_true ctx)
+            (c.r_query.build
+               (Expr.fresh_var "x0" c.r_query.vw)
+               (Expr.fresh_var "y0" c.r_query.vw));
+          ignore (solve_cnf sat (c.r_vars + 6) c.r_prior c.r_assumptions);
+          (match c.r_abandon with
+           | `None -> ()
+           | `Encoding k ->
+             let polls = ref 0 in
+             Smt.Bitblast.set_stop ctx
+               (Some
+                  (fun () ->
+                     incr polls;
+                     if !polls >= k then raise Sat.Timeout;
+                     false));
+             let vars0 = Sat.num_vars sat in
+             (match Smt.Bitblast.assert_true ctx (big_term ()) with
+              | () -> QCheck.Test.fail_report "encoding was not abandoned"
+              | exception Sat.Timeout -> ());
+             if Sat.num_vars sat = vars0 then
+               QCheck.Test.fail_report "abandoned before encoding anything";
+             Smt.Bitblast.set_stop ctx None
+           | `Search ->
+             (match Sat.solve ~deadline:0.0 sat with
+              | _ -> ()
+              | exception Sat.Timeout -> ()));
+          let reset () =
+            Sat.reset sat;
+            Smt.Bitblast.reset ctx
+          in
+          reset ();
+          let fresh = Sat.create () in
+          if solve_cnf sat c.r_vars c.r_cnf c.r_assumptions
+             <> solve_cnf fresh c.r_vars c.r_cnf c.r_assumptions
+          then QCheck.Test.fail_report "CNF: reset instance differs from fresh";
+          reset ();
+          let x = Expr.fresh_var "x" c.r_query.vw
+          and y = Expr.fresh_var "y" c.r_query.vw in
+          let cs = c.r_query.build x y in
+          let fresh = Sat.create () in
+          let reused = solve_query sat ctx (var_of x) (var_of y) cs in
+          let created =
+            solve_query fresh (Smt.Bitblast.create fresh) (var_of x) (var_of y)
+              cs
+          in
+          if reused <> created then
+            QCheck.Test.fail_report "query: reset pair differs from fresh";
+          true))
 
 (* Gate-level folding: constant operand bits cost no variables. *)
 let test_bitblast_constant_folding () =
@@ -1202,6 +1374,7 @@ let suite =
     ("expr: constant folding", `Quick, test_expr_folding);
     ("expr: extract rewrites", `Quick, test_expr_extract_rewrites);
     ("expr: vars", `Quick, test_expr_vars);
+    ("expr: pruning since a mark", `Quick, test_expr_prune_since);
     ("expr: eval", `Quick, test_expr_eval);
     ("expr: simplifier soundness (random)", `Quick, test_simplifier_soundness);
     ("interval: unsat detection", `Quick, test_interval_unsat);
@@ -1221,6 +1394,7 @@ let suite =
     ("solver: empty and const", `Quick, test_solver_empty_and_const);
     ("solver: nonlinear", `Quick, test_solver_nonlinear);
     test_solver_random_vs_brute;
+    test_sat_reset_is_create;
     ("solver: query cache", `Quick, test_solver_cache);
     ("slice: partition crafted sets", `Quick, test_slice_partition);
     ("slice: partition is a partition (random)", `Quick,
