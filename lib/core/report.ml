@@ -102,6 +102,7 @@ let pp_solver_breakdown ppf t =
      \  sat          %6.3fs (%4.1f%%) — %d calls, %d conflicts, %d decisions, \
      %d propagations@,\
      \  scope        %d pushes, %d pops, %d encodings reused, %d rebuilds@,\
+     \  scratch      %d encodings reused@,\
      \  total        %6.3fs@]"
     t.test_name
     s.Smt.Solver.Stats.queries s.Smt.Solver.Stats.slices
@@ -115,6 +116,7 @@ let pp_solver_breakdown ppf t =
     s.Smt.Solver.Stats.sat_decisions s.Smt.Solver.Stats.sat_propagations
     s.Smt.Solver.Stats.scope_pushes s.Smt.Solver.Stats.scope_pops
     s.Smt.Solver.Stats.scope_reused s.Smt.Solver.Stats.scope_rebuilds
+    s.Smt.Solver.Stats.scratch_reused
     s.Smt.Solver.Stats.time
 
 (* Mirror the report into the Obs.Metrics registry so a --metrics-out
@@ -166,6 +168,7 @@ let record_metrics t =
   gi "symsysc_scope_pops" s.Smt.Solver.Stats.scope_pops;
   gi "symsysc_scope_reused" s.Smt.Solver.Stats.scope_reused;
   gi "symsysc_scope_rebuilds" s.Smt.Solver.Stats.scope_rebuilds;
+  gi "symsysc_scratch_reused" s.Smt.Solver.Stats.scratch_reused;
   gi "symsysc_solver_query_evictions" s.Smt.Solver.Stats.query_evictions;
   gi "symsysc_solver_cex_evictions" s.Smt.Solver.Stats.cex_evictions;
   gi "symsysc_engine_exhausted" (if e.Engine.exhausted then 1 else 0);

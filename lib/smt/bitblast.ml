@@ -9,12 +9,40 @@ let k_ite = 2
 let k_maj = 3
 let k_and_n = 4
 
+(* Structural-hashing key: the gate kind followed by its normalised
+   operands, one flat int array, hashed and compared element-wise. *)
+module Key = struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 0x01000193) lxor a.(i)
+    done;
+    !h land max_int
+end
+
+module Strash = Hashtbl.Make (Key)
+
+(* One insertion into the context's tables, logged so [rollback] can
+   take it back. *)
+type undo = Memo of int | Var of int | Gate of Key.t | True_lit
+
 type ctx = {
   sat : Sat.t;
   memo : (int, repr) Hashtbl.t;        (* Expr.id -> repr *)
   vars : (int, int array) Hashtbl.t;   (* var_id -> bit literals *)
-  strash : (int list, int) Hashtbl.t;  (* kind :: operands -> output *)
+  strash : int Strash.t;               (* gate key -> output *)
   mutable true_lit : int;              (* literal asserted true, 0 if none *)
+  mutable log : undo list;             (* newest first *)
+  mutable log_len : int;
   mutable deadline : float option;     (* per-query; mutable for reuse *)
   mutable stop : (unit -> bool) option;
   mutable steps : int;                 (* poll subsampling counter *)
@@ -22,23 +50,43 @@ type ctx = {
 
 let create sat =
   { sat; memo = Hashtbl.create 1024; vars = Hashtbl.create 64;
-    strash = Hashtbl.create 1024; true_lit = 0;
+    strash = Strash.create 1024; true_lit = 0; log = []; log_len = 0;
     deadline = None; stop = None; steps = 0 }
 
-(* Empty the context for reuse over its (separately reset) SAT
-   instance: with the tables cleared and no constant literal, the next
-   encoding allocates exactly the variables and clauses a fresh context
-   would. *)
-let reset ctx =
-  Hashtbl.clear ctx.memo;
-  Hashtbl.clear ctx.vars;
-  Hashtbl.clear ctx.strash;
-  ctx.true_lit <- 0;
-  ctx.steps <- 0
+let log ctx u =
+  ctx.log <- u :: ctx.log;
+  ctx.log_len <- ctx.log_len + 1
+
+type checkpoint = int
+
+let checkpoint ctx = ctx.log_len
+
+(* Take back every insertion made after the checkpoint, newest first.
+   Together with [Sat.restore] to a checkpoint taken at the same point,
+   the pair is then exactly what it was there. *)
+let rollback ctx n =
+  while ctx.log_len > n do
+    (match ctx.log with
+     | [] -> assert false
+     | u :: rest ->
+       ctx.log <- rest;
+       (match u with
+        | Memo id -> Hashtbl.remove ctx.memo id
+        | Var id -> Hashtbl.remove ctx.vars id
+        | Gate key -> Strash.remove ctx.strash key
+        | True_lit -> ctx.true_lit <- 0));
+    ctx.log_len <- ctx.log_len - 1
+  done
+
+let reset ctx = rollback ctx 0
 
 (* A context reused across queries carries a different budget each
-   time. *)
-let set_deadline ctx d = ctx.deadline <- d
+   time; the poll counter restarts with it, so the first poll of a
+   query always reads the clock. *)
+let set_deadline ctx d =
+  ctx.deadline <- d;
+  ctx.steps <- 0
+
 let set_stop ctx f = ctx.stop <- f
 
 (* Encoding a huge term must not blow far past the per-query deadline
@@ -66,7 +114,8 @@ let lit_true ctx =
   if ctx.true_lit = 0 then begin
     let v = fresh ctx in
     Sat.add_clause ctx.sat [ v ];
-    ctx.true_lit <- v
+    ctx.true_lit <- v;
+    log ctx True_lit
   end;
   ctx.true_lit
 
@@ -87,12 +136,13 @@ let is_false ctx l = l = -ctx.true_lit
    guarded: in a context retained across queries they hold forever. *)
 
 let hashed ctx key encode =
-  match Hashtbl.find_opt ctx.strash key with
+  match Strash.find_opt ctx.strash key with
   | Some g -> g
   | None ->
     let g = fresh ctx in
     encode g;
-    Hashtbl.add ctx.strash key g;
+    Strash.add ctx.strash key g;
+    log ctx (Gate key);
     g
 
 let gate_and ctx a b =
@@ -101,10 +151,10 @@ let gate_and ctx a b =
   else if a = -b || is_false ctx a || is_false ctx b then lit_false ctx
   else
     let a, b = if a < b then a, b else b, a in
-    hashed ctx [ k_and; a; b ] (fun g ->
-        Sat.add_clause ctx.sat [ -g; a ];
-        Sat.add_clause ctx.sat [ -g; b ];
-        Sat.add_clause ctx.sat [ -a; -b; g ])
+    hashed ctx [| k_and; a; b |] (fun g ->
+        Sat.add_clause2 ctx.sat (-g) a;
+        Sat.add_clause2 ctx.sat (-g) b;
+        Sat.add_clause3 ctx.sat (-a) (-b) g)
 
 let gate_or ctx a b = -gate_and ctx (-a) (-b)
 
@@ -122,11 +172,11 @@ let gate_xor ctx a b =
     let a = abs a and b = abs b in
     let a, b = if a < b then a, b else b, a in
     let g =
-      hashed ctx [ k_xor; a; b ] (fun g ->
-          Sat.add_clause ctx.sat [ -g; a; b ];
-          Sat.add_clause ctx.sat [ -g; -a; -b ];
-          Sat.add_clause ctx.sat [ g; -a; b ];
-          Sat.add_clause ctx.sat [ g; a; -b ])
+      hashed ctx [| k_xor; a; b |] (fun g ->
+          Sat.add_clause3 ctx.sat (-g) a b;
+          Sat.add_clause3 ctx.sat (-g) (-a) (-b);
+          Sat.add_clause3 ctx.sat g (-a) b;
+          Sat.add_clause3 ctx.sat g a (-b))
     in
     if neg then -g else g
 
@@ -147,11 +197,11 @@ let gate_ite ctx c a b =
     let neg = a < 0 in
     let a, b = if neg then -a, -b else a, b in
     let g =
-      hashed ctx [ k_ite; c; a; b ] (fun g ->
-          Sat.add_clause ctx.sat [ -c; -a; g ];
-          Sat.add_clause ctx.sat [ -c; a; -g ];
-          Sat.add_clause ctx.sat [ c; -b; g ];
-          Sat.add_clause ctx.sat [ c; b; -g ])
+      hashed ctx [| k_ite; c; a; b |] (fun g ->
+          Sat.add_clause3 ctx.sat (-c) (-a) g;
+          Sat.add_clause3 ctx.sat (-c) a (-g);
+          Sat.add_clause3 ctx.sat c (-b) g;
+          Sat.add_clause3 ctx.sat c b (-g))
     in
     if neg then -g else g
 
@@ -179,13 +229,13 @@ let gate_maj ctx a b c =
     let b, c = if b < c then b, c else c, b in
     let a, b = if a < b then a, b else b, a in
     let g =
-      hashed ctx [ k_maj; a; b; c ] (fun g ->
-          Sat.add_clause ctx.sat [ -g; a; b ];
-          Sat.add_clause ctx.sat [ -g; a; c ];
-          Sat.add_clause ctx.sat [ -g; b; c ];
-          Sat.add_clause ctx.sat [ g; -a; -b ];
-          Sat.add_clause ctx.sat [ g; -a; -c ];
-          Sat.add_clause ctx.sat [ g; -b; -c ])
+      hashed ctx [| k_maj; a; b; c |] (fun g ->
+          Sat.add_clause3 ctx.sat (-g) a b;
+          Sat.add_clause3 ctx.sat (-g) a c;
+          Sat.add_clause3 ctx.sat (-g) b c;
+          Sat.add_clause3 ctx.sat g (-a) (-b);
+          Sat.add_clause3 ctx.sat g (-a) (-c);
+          Sat.add_clause3 ctx.sat g (-b) (-c))
     in
     if neg then -g else g
 
@@ -212,8 +262,8 @@ let gate_and_n ctx lits =
     | [ a; b ] -> gate_and ctx a b
     | _ when complementary lits -> lit_false ctx
     | _ ->
-      hashed ctx (k_and_n :: lits) (fun g ->
-          List.iter (fun l -> Sat.add_clause ctx.sat [ -g; l ]) lits;
+      hashed ctx (Array.of_list (k_and_n :: lits)) (fun g ->
+          List.iter (fun l -> Sat.add_clause2 ctx.sat (-g) l) lits;
           Sat.add_clause ctx.sat (g :: List.map (fun l -> -l) lits))
 
 let full_adder ctx a b cin =
@@ -338,6 +388,7 @@ let rec translate ctx (e : Expr.t) : repr =
     poll ctx;
     let r = translate_uncached ctx e in
     Hashtbl.add ctx.memo e.Expr.id r;
+    log ctx (Memo e.Expr.id);
     r
 
 and bool_lit ctx e =
@@ -363,6 +414,7 @@ and translate_uncached ctx (e : Expr.t) : repr =
       | None ->
         let bits = Array.init v.Expr.var_width (fun _ -> fresh ctx) in
         Hashtbl.add ctx.vars v.Expr.var_id bits;
+        log ctx (Var v.Expr.var_id);
         bits
     in
     Bits bits

@@ -15,17 +15,36 @@ type ctx
 val create : Sat.t -> ctx
 (** A context with no deadline and no stop predicate. *)
 
+type checkpoint
+(** A point in the context's insertion history: every encoded term,
+    variable and gate, and the constant-true literal, are logged as
+    they are added. *)
+
+val checkpoint : ctx -> checkpoint
+
+val rollback : ctx -> checkpoint -> unit
+(** Take back every insertion made after the checkpoint.  Together with
+    {!Sat.restore} on the context's instance to a checkpoint taken at
+    the same point, the pair is then exactly what it was there: the
+    same terms encode to the same CNF.  Safe after any exception,
+    including one raised mid-encoding. *)
+
 val reset : ctx -> unit
-(** Forget every encoded term and gate.  Together with {!Sat.reset} on
-    the context's instance, the pair then behaves exactly like
-    [create (Sat.create ())]: the same terms encode to the same CNF. *)
+(** Roll back to the empty context.  Together with {!Sat.reset} on the
+    context's instance, the pair then behaves exactly like
+    [create (Sat.create ())]. *)
 
 val set_deadline : ctx -> float option -> unit
 (** Set the deadline (absolute [Unix.gettimeofday] instant) polled
     during translation — subsampled at term-node boundaries — which
     raises {!Sat.Timeout} once passed, so encoding a huge term respects
     the same per-query budget as the CDCL search that follows it.  A
-    context reused across queries gets a fresh budget each time. *)
+    context reused across queries gets a fresh budget each time, and
+    its next {!poll} reads the clock. *)
+
+val poll : ctx -> unit
+(** Poll the deadline and the stop predicate now (subject to the same
+    subsampling as translation). *)
 
 val set_stop : ctx -> (unit -> bool) option -> unit
 (** Set the external-stop predicate polled at the same points; it

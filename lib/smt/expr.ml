@@ -6,7 +6,7 @@ type binop =
 
 type cmpop = Eq | Ult | Ule | Slt | Sle
 
-type t = { id : int; sort : sort; node : node }
+type t = { id : int; sort : sort; node : node; vars : var list }
 
 and node =
   | Bool_const of bool
@@ -107,11 +107,39 @@ let without_counting f =
     Fun.protect ~finally:(fun () -> counting := true) f
   end
 
+(* Merge two variable lists sorted by increasing [var_id].  The result
+   is physically one of the inputs whenever it equals it, so the
+   variable sets of a term DAG share their cells. *)
+let rec merge_vars a b =
+  if a == b then a
+  else
+    match a, b with
+    | [], l | l, [] -> l
+    | x :: a', y :: b' ->
+      if x.var_id = y.var_id then
+        let r = merge_vars a' b' in
+        if r == a' then a else if r == b' then b else x :: r
+      else if x.var_id < y.var_id then
+        let r = merge_vars a' b in
+        if r == a' then a else x :: r
+      else
+        let r = merge_vars a b' in
+        if r == b' then b else y :: r
+
+(* A term's variables, computed once when it is built. *)
+let node_vars = function
+  | Var v -> [ v ]
+  | Bool_const _ | Bv_const _ -> []
+  | Not x | Bnot x | Extract (_, _, x) | Zext (_, x) | Sext (_, x) -> x.vars
+  | Andb (a, b) | Orb (a, b) | Cmp (_, a, b) | Bin (_, a, b) | Concat (a, b) ->
+    merge_vars a.vars b.vars
+  | Ite (c, a, b) -> merge_vars c.vars (merge_vars a.vars b.vars)
+
 let mk sort node =
   match Table.find_opt table node with
   | Some t -> t
   | None ->
-    let t = { id = !next_id; sort; node } in
+    let t = { id = !next_id; sort; node; vars = node_vars node } in
     incr next_id;
     Table.add table node t;
     t
@@ -473,24 +501,7 @@ let sext target t =
     | Bv_const v -> const (Bv.sext (target - w) v)
     | _ -> mk (Bv target) (Sext (target, t))
 
-let vars t =
-  let seen = Hashtbl.create 64 in
-  let acc = ref [] in
-  let rec go t =
-    if not (Hashtbl.mem seen t.id) then begin
-      Hashtbl.add seen t.id ();
-      match t.node with
-      | Var v -> acc := v :: !acc
-      | Bool_const _ | Bv_const _ -> ()
-      | Not x | Bnot x | Extract (_, _, x) | Zext (_, x) | Sext (_, x) -> go x
-      | Andb (a, b) | Orb (a, b) | Cmp (_, a, b) | Bin (_, a, b)
-      | Concat (a, b) ->
-        go a; go b
-      | Ite (c, a, b) -> go c; go a; go b
-    end
-  in
-  go t;
-  List.sort (fun a b -> Int.compare a.var_id b.var_id) !acc
+let vars t = t.vars
 
 (* Pruning the hash-cons table.  The table holds its terms strongly, so
    without pruning every term a run ever built stays alive.  A term over
@@ -510,26 +521,9 @@ let term_count () = Table.length table
 let prune_since m =
   (* A term is at least as new as its subterms, so one older than the
      mark cannot mention a variable created after it. *)
-  let memo : (int, bool) Hashtbl.t = Hashtbl.create 1024 in
-  let rec mentions t =
+  let mentions t =
     t.id >= m.first_term
-    &&
-    match Hashtbl.find_opt memo t.id with
-    | Some b -> b
-    | None ->
-      let b =
-        match t.node with
-        | Var v -> v.var_id >= m.first_var
-        | Bool_const _ | Bv_const _ -> false
-        | Not x | Bnot x | Extract (_, _, x) | Zext (_, x) | Sext (_, x) ->
-          mentions x
-        | Andb (a, b) | Orb (a, b) | Cmp (_, a, b) | Bin (_, a, b)
-        | Concat (a, b) ->
-          mentions a || mentions b
-        | Ite (c, a, b) -> mentions c || mentions a || mentions b
-      in
-      Hashtbl.add memo t.id b;
-      b
+    && List.exists (fun v -> v.var_id >= m.first_var) t.vars
   in
   Table.filter_map_inplace
     (fun _ t -> if mentions t then None else Some t)

@@ -18,7 +18,12 @@ type binop =
 
 type cmpop = Eq | Ult | Ule | Slt | Sle
 
-type t = private { id : int; sort : sort; node : node }
+type t = private {
+  id : int;
+  sort : sort;
+  node : node;
+  vars : var list;  (** distinct variables, by increasing [var_id] *)
+}
 
 and node =
   | Bool_const of bool
@@ -82,7 +87,12 @@ val fresh_var : string -> int -> t
     not be unique; the variable identity is the fresh [var_id]. *)
 
 val vars : t -> var list
-(** All distinct variables occurring in a term, in increasing [var_id]. *)
+(** All distinct variables occurring in a term, in increasing [var_id].
+    Computed when the term is built, so this is a field read. *)
+
+val merge_vars : var list -> var list -> var list
+(** Union of two variable lists sorted by increasing [var_id], in the
+    same order; physically one of the inputs when it equals it. *)
 
 (* Boolean connectives. *)
 

@@ -24,14 +24,21 @@ module Ivec = struct
     t.len <- t.len + 1
 end
 
+(* Clauses live in one flat arena: a clause at offset [c] is
+   [arena.(c)] literals stored at [arena.(c+1) .. arena.(c+len)], and
+   its offset is its id (in watch lists and reasons).  Problem clauses
+   come first in intake order; learned clauses are appended after
+   them. *)
 type t = {
   mutable nvars : int;
-  mutable clauses : int array array;   (* arena; index = clause id *)
-  mutable nclauses : int;
+  mutable arena : int array;
+  mutable arena_len : int;
+  mutable pristine : int array;        (* arena as taken in, see [checkpoint] *)
+  mutable pristine_len : int;
   mutable watches : Ivec.t array;      (* per internal literal *)
   mutable assign : int array;          (* per var: -1 unassigned / 0 / 1 *)
   mutable level : int array;           (* per var *)
-  mutable reason : int array;          (* per var: clause id or -1 *)
+  mutable reason : int array;          (* per var: clause offset or -1 *)
   mutable activity : float array;      (* per var *)
   mutable phase : bool array;          (* per var: saved polarity *)
   mutable trail : int array;           (* internal literals *)
@@ -47,13 +54,16 @@ type t = {
   mutable seen : bool array;           (* scratch for conflict analysis *)
   mutable buf : int array;             (* scratch for clause intake *)
   mutable added : int;                 (* clauses kept by [add_clause] *)
+  mutable searched : bool;             (* [solve] ran since the last restore *)
 }
 
 let create () =
   {
     nvars = 0;
-    clauses = Array.make 64 [||];
-    nclauses = 0;
+    arena = Array.make 256 0;
+    arena_len = 0;
+    pristine = [||];
+    pristine_len = 0;
     watches = Array.init 64 (fun _ -> Ivec.create ());
     assign = Array.make 16 (-1);
     level = Array.make 16 0;
@@ -73,6 +83,7 @@ let create () =
     seen = Array.make 16 false;
     buf = Array.make 16 0;
     added = 0;
+    searched = false;
   }
 
 let grow_int_array a n default =
@@ -99,6 +110,15 @@ let grow_bool_array a n =
     b
   end
 
+(* The per-variable fields a fresh instance holds for [v]. *)
+let init_var t v =
+  t.assign.(v) <- -1;
+  t.level.(v) <- 0;
+  t.reason.(v) <- -1;
+  t.activity.(v) <- 0.0;
+  t.phase.(v) <- false;
+  t.seen.(v) <- false
+
 let new_var t =
   t.nvars <- t.nvars + 1;
   let v = t.nvars in
@@ -111,14 +131,8 @@ let new_var t =
   t.trail <- grow_int_array t.trail n 0;
   t.trail_lim <- grow_int_array t.trail_lim n 0;
   t.seen <- grow_bool_array t.seen n;
-  (* A variable slot may be reused after [reset]: initialise every
-     per-variable field a fresh array would hold. *)
-  t.assign.(v) <- -1;
-  t.level.(v) <- 0;
-  t.reason.(v) <- -1;
-  t.activity.(v) <- 0.0;
-  t.phase.(v) <- false;
-  t.seen.(v) <- false;
+  (* A variable slot may be reused after [restore]. *)
+  init_var t v;
   let nlits = 2 * n + 2 in
   if Array.length t.watches < nlits then begin
     let w = Array.make (max nlits (2 * Array.length t.watches)) (Ivec.create ()) in
@@ -129,27 +143,6 @@ let new_var t =
     t.watches <- w
   end;
   v
-
-(* Empty the instance for reuse, keeping its arrays: only the slots
-   the previous use touched are cleared, so a reset costs no more than
-   the use before it.  Per-variable fields are re-initialised by
-   [new_var] as variables are allocated again. *)
-let reset t =
-  for l = 0 to min (Array.length t.watches - 1) (2 * t.nvars + 1) do
-    t.watches.(l).Ivec.len <- 0
-  done;
-  Array.fill t.clauses 0 t.nclauses [||];
-  t.nvars <- 0;
-  t.nclauses <- 0;
-  t.trail_len <- 0;
-  t.trail_lim_len <- 0;
-  t.qhead <- 0;
-  t.unsat <- false;
-  t.var_inc <- 1.0;
-  t.conflicts <- 0;
-  t.decisions <- 0;
-  t.propagations <- 0;
-  t.added <- 0
 
 let num_vars t = t.nvars
 let num_clauses t = t.added
@@ -176,20 +169,19 @@ let enqueue t l reason =
   t.trail.(t.trail_len) <- l;
   t.trail_len <- t.trail_len + 1
 
-let add_clause_internal t lits =
-  let id = t.nclauses in
-  if id = Array.length t.clauses then begin
-    let c = Array.make (2 * id) [||] in
-    Array.blit t.clauses 0 c 0 id;
-    t.clauses <- c
-  end;
-  t.clauses.(id) <- lits;
-  t.nclauses <- id + 1;
-  if Array.length lits >= 2 then begin
-    Ivec.push t.watches.(lits.(0)) id;
-    Ivec.push t.watches.(lits.(1)) id
-  end;
-  id
+(* Append the clause [src.(pos) .. src.(pos + len - 1)] (two or more
+   literals) to the arena and watch its first two literals. *)
+let add_clause_internal t src pos len =
+  let c = t.arena_len in
+  let next = c + 1 + len in
+  if next > Array.length t.arena then t.arena <- grow_int_array t.arena next 0;
+  let a = t.arena in
+  a.(c) <- len;
+  Array.blit src pos a (c + 1) len;
+  t.arena_len <- next;
+  Ivec.push t.watches.(a.(c + 1)) c;
+  Ivec.push t.watches.(a.(c + 2)) c;
+  c
 
 let cancel_until t lvl =
   if decision_level t > lvl then begin
@@ -204,59 +196,146 @@ let cancel_until t lvl =
     t.trail_lim_len <- lvl
   end
 
-(* Clause intake works in the reusable scratch buffer [t.buf]: the
-   literals are insertion-sorted there (bit-blaster clauses have two to
-   four literals), and since a literal and its negation are adjacent
-   internal literals (2v, 2v+1), one pass over the sorted buffer drops
-   duplicates, detects tautologies, drops a clause satisfied at level 0
-   and filters literals false at level 0.  Only a surviving clause of
-   two or more literals allocates — its own array in the arena. *)
-let add_clause t dimacs_lits =
-  if not t.unsat then begin
-    (* Incremental use leaves the trail populated after a [Sat] answer;
-       the level-0 simplification below is only sound against the
-       level-0 prefix, so drop any standing decisions first. *)
-    if decision_level t > 0 then cancel_until t 0;
-    let n = ref 0 in
-    List.iter
-      (fun d ->
-         if !n = Array.length t.buf then t.buf <- grow_int_array t.buf (!n + 1) 0;
-         let buf = t.buf and l = ilit_of_dimacs d in
-         let j = ref !n in
-         while !j > 0 && buf.(!j - 1) > l do
-           buf.(!j) <- buf.(!j - 1);
-           decr j
-         done;
-         buf.(!j) <- l;
-         incr n)
-      dimacs_lits;
-    let buf = t.buf in
-    let kept = ref 0 and prev = ref (-1) and drop = ref false and i = ref 0 in
-    while (not !drop) && !i < !n do
-      let l = buf.(!i) in
-      if l <> !prev then begin
-        (* Every assignment on the trail is at level 0 here. *)
-        if !prev = ilit_neg l then drop := true
-        else begin
-          match lit_value t l with
-          | 1 -> drop := true
-          | 0 -> ()
-          | _ ->
-            buf.(!kept) <- l;
-            incr kept
-        end;
-        prev := l
+(* Clause intake works in the reusable scratch buffer [t.buf]: [intake]
+   insertion-sorts each literal into it (bit-blaster clauses have two
+   to four literals), and since a literal and its negation are adjacent
+   internal literals (2v, 2v+1), one pass of [commit] over the sorted
+   buffer drops duplicates, detects tautologies, drops a clause
+   satisfied at level 0 and filters literals false at level 0.  A
+   surviving clause of two or more literals is copied into the arena;
+   nothing is allocated per clause. *)
+let intake t n d =
+  if n = Array.length t.buf then t.buf <- grow_int_array t.buf (n + 1) 0;
+  let buf = t.buf and l = ilit_of_dimacs d in
+  let j = ref n in
+  while !j > 0 && buf.(!j - 1) > l do
+    buf.(!j) <- buf.(!j - 1);
+    decr j
+  done;
+  buf.(!j) <- l
+
+let commit t n =
+  let buf = t.buf in
+  let kept = ref 0 and prev = ref (-1) and drop = ref false and i = ref 0 in
+  while (not !drop) && !i < n do
+    let l = buf.(!i) in
+    if l <> !prev then begin
+      (* Every assignment on the trail is at level 0 here. *)
+      if !prev = ilit_neg l then drop := true
+      else begin
+        match lit_value t l with
+        | 1 -> drop := true
+        | 0 -> ()
+        | _ ->
+          buf.(!kept) <- l;
+          incr kept
       end;
-      incr i
-    done;
-    if not !drop then begin
-      t.added <- t.added + 1;
-      match !kept with
-      | 0 -> t.unsat <- true
-      | 1 -> enqueue t buf.(0) (-1)
-      | k -> ignore (add_clause_internal t (Array.sub buf 0 k))
-    end
+      prev := l
+    end;
+    incr i
+  done;
+  if not !drop then begin
+    t.added <- t.added + 1;
+    match !kept with
+    | 0 -> t.unsat <- true
+    | 1 -> enqueue t buf.(0) (-1)
+    | k -> ignore (add_clause_internal t buf 0 k)
   end
+
+(* Incremental use leaves the trail populated after a [Sat] answer; the
+   level-0 simplification in [commit] is only sound against the level-0
+   prefix, so drop any standing decisions first. *)
+let open_intake t =
+  if t.unsat then false
+  else begin
+    if decision_level t > 0 then cancel_until t 0;
+    true
+  end
+
+let add_clause t lits =
+  if open_intake t then
+    commit t (List.fold_left (fun n d -> intake t n d; n + 1) 0 lits)
+
+let add_clause2 t a b =
+  if open_intake t then begin
+    intake t 0 a;
+    intake t 1 b;
+    commit t 2
+  end
+
+let add_clause3 t a b c =
+  if open_intake t then begin
+    intake t 0 a;
+    intake t 1 b;
+    intake t 2 c;
+    commit t 3
+  end
+
+(* Checkpoints.  Up to its first [solve], an instance is the pure
+   result of its intake: the arena prefix, the variable count and the
+   level-0 units on the trail, nothing else.  A checkpoint records
+   those lengths, and [restore] rebuilds everything else from them
+   exactly as a fresh instance would hold it after the same intake.
+   Propagation reorders the literals of arena clauses in place, so the
+   first checkpoint starts a pristine copy of the arena, extended at
+   every later checkpoint; an instance that never takes one (a
+   retained scope instance) never pays for it. *)
+type checkpoint = {
+  c_nvars : int;
+  c_arena : int;
+  c_added : int;
+  c_trail : int;
+  c_unsat : bool;
+}
+
+let empty = { c_nvars = 0; c_arena = 0; c_added = 0; c_trail = 0; c_unsat = false }
+
+let checkpoint t =
+  if t.searched then invalid_arg "Sat.checkpoint: taken after a search";
+  let n = t.arena_len in
+  if n > t.pristine_len then begin
+    t.pristine <- grow_int_array t.pristine n 0;
+    Array.blit t.arena t.pristine_len t.pristine t.pristine_len
+      (n - t.pristine_len);
+    t.pristine_len <- n
+  end;
+  { c_nvars = t.nvars; c_arena = n; c_added = t.added; c_trail = t.trail_len;
+    c_unsat = t.unsat }
+
+let restore t c =
+  if c.c_arena > t.pristine_len then
+    invalid_arg "Sat.restore: checkpoint is not on the current history";
+  Array.blit t.pristine 0 t.arena 0 c.c_arena;
+  t.arena_len <- c.c_arena;
+  t.pristine_len <- c.c_arena;
+  (* Watch lists, in intake order as [add_clause_internal] built them. *)
+  for l = 0 to min (Array.length t.watches - 1) (2 * t.nvars + 1) do
+    t.watches.(l).Ivec.len <- 0
+  done;
+  let a = t.arena and pos = ref 0 in
+  while !pos < c.c_arena do
+    Ivec.push t.watches.(a.(!pos + 1)) !pos;
+    Ivec.push t.watches.(a.(!pos + 2)) !pos;
+    pos := !pos + 1 + a.(!pos)
+  done;
+  (* Variables above [c_nvars] are re-initialised by [new_var]. *)
+  for v = 1 to c.c_nvars do init_var t v done;
+  t.nvars <- c.c_nvars;
+  (* Level-0 units are never undone, so the trail still starts with the
+     ones taken in up to the checkpoint; re-apply them. *)
+  t.trail_len <- 0;
+  t.trail_lim_len <- 0;
+  t.qhead <- 0;
+  for i = 0 to c.c_trail - 1 do enqueue t t.trail.(i) (-1) done;
+  t.unsat <- c.c_unsat;
+  t.var_inc <- 1.0;
+  t.conflicts <- 0;
+  t.decisions <- 0;
+  t.propagations <- 0;
+  t.added <- c.c_added;
+  t.searched <- false
+
+let reset t = restore t empty
 
 (* Propagation with two watched literals; returns conflicting clause id
    or -1.  Each watch list is compacted in place (read index [i], write
@@ -283,24 +362,26 @@ let propagate t =
       incr i;
       if !conflict <> -1 then keep cid
       else begin
-        let c = t.clauses.(cid) in
-        (* Ensure c.(1) is the false literal. *)
-        if c.(0) = false_lit then begin
-          c.(0) <- c.(1);
-          c.(1) <- false_lit
+        let a = t.arena in
+        (* The watches are at [cid + 1] and [cid + 2]; ensure the
+           second is the false literal. *)
+        if a.(cid + 1) = false_lit then begin
+          a.(cid + 1) <- a.(cid + 2);
+          a.(cid + 2) <- false_lit
         end;
-        if lit_value t c.(0) = 1 then keep cid
+        let first = a.(cid + 1) in
+        if lit_value t first = 1 then keep cid
         else begin
           (* Search for a non-false literal to watch. *)
-          let len = Array.length c in
+          let stop = cid + 1 + a.(cid) in
           let found = ref false in
-          let k = ref 2 in
-          while (not !found) && !k < len do
-            if lit_value t c.(!k) <> 0 then begin
-              let tmp = c.(1) in
-              c.(1) <- c.(!k);
-              c.(!k) <- tmp;
-              Ivec.push t.watches.(c.(1)) cid;
+          let k = ref (cid + 3) in
+          while (not !found) && !k < stop do
+            if lit_value t a.(!k) <> 0 then begin
+              let tmp = a.(cid + 2) in
+              a.(cid + 2) <- a.(!k);
+              a.(!k) <- tmp;
+              Ivec.push t.watches.(a.(cid + 2)) cid;
               found := true
             end;
             incr k
@@ -308,8 +389,8 @@ let propagate t =
           if not !found then begin
             (* Unit or conflicting. *)
             keep cid;
-            if lit_value t c.(0) = 0 then conflict := cid
-            else if lit_value t c.(0) = -1 then enqueue t c.(0) cid
+            if lit_value t first = 0 then conflict := cid
+            else if lit_value t first = -1 then enqueue t first cid
           end
         end
       end
@@ -338,10 +419,10 @@ let analyze t conflict =
   let btlevel = ref 0 in
   let continue = ref true in
   while !continue do
-    let c = t.clauses.(!cid) in
+    let a = t.arena and c = !cid in
     let start = if !p = -1 then 0 else 1 in
-    for j = start to Array.length c - 1 do
-      let q = c.(j) in
+    for j = start to a.(c) - 1 do
+      let q = a.(c + 1 + j) in
       let v = ilit_var q in
       if (not t.seen.(v)) && t.level.(v) > 0 then begin
         t.seen.(v) <- true;
@@ -408,6 +489,7 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) ?deadline ?stop t =
   else begin
     (* Incremental discipline: every call starts from a clean trail
        (learned clauses, activities and phases persist across calls). *)
+    t.searched <- true;
     cancel_until t 0;
     let assumps = Array.of_list (List.map ilit_of_dimacs assumptions) in
     let nassumps = Array.length assumps in
@@ -462,7 +544,9 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) ?deadline ?stop t =
             cancel_until t btlevel;
             if Array.length learned = 1 then enqueue t learned.(0) (-1)
             else begin
-              let cid = add_clause_internal t learned in
+              let cid =
+                add_clause_internal t learned 0 (Array.length learned)
+              in
               enqueue t learned.(0) cid
             end;
             t.var_inc <- t.var_inc /. 0.95;

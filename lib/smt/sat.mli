@@ -13,11 +13,32 @@ type t
 
 val create : unit -> t
 
+type checkpoint
+(** The state of an instance that has only taken in clauses since its
+    creation or its last {!restore}: variable count, clause arena
+    length, level-0 units and whether a clause came out empty. *)
+
+val checkpoint : t -> checkpoint
+(** Record the current state.  Raises [Invalid_argument] if {!solve}
+    ran since the last {!restore}.  The first checkpoint starts a
+    pristine copy of the clause arena (propagation reorders clause
+    literals in place), so an instance that never takes one pays
+    nothing. *)
+
+val restore : t -> checkpoint -> unit
+(** Return to exactly the state a fresh instance from {!create} has
+    after taking in the same clauses up to the checkpoint: same
+    variables, clauses with their literal order and watch lists,
+    level-0 units, and zero activities, phases and counters.  Learned
+    clauses and everything taken in after the checkpoint are dropped.
+    Checkpoints follow a stack discipline: [c] may be restored only if
+    no restore since [c] was taken went to a checkpoint older than [c].
+    Safe after any exception, including one raised mid-encoding or
+    mid-search. *)
+
 val reset : t -> unit
-(** Empty the instance so it behaves exactly like a fresh one from
-    {!create}: same variable numbering, same clause set, same search and
-    counters from zero.  Allocated arrays are kept for the next use.
-    Safe after any exception, including one raised mid-encoding. *)
+(** Restore to the empty checkpoint: the instance behaves exactly like
+    a fresh one from {!create}.  Allocated arrays are kept. *)
 
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index (starting at 1). *)
@@ -36,6 +57,10 @@ val add_clause : t -> int list -> unit
     unsatisfiable.  Safe to call between incremental {!solve} calls:
     any standing decisions from a previous [Sat] answer are undone
     first. *)
+
+val add_clause2 : t -> int -> int -> unit
+val add_clause3 : t -> int -> int -> int -> unit
+(** [add_clause] for two and three literals, without building a list. *)
 
 type result = Sat | Unsat
 

@@ -24,6 +24,7 @@ module Stats = struct
     scope_pops : int;
     scope_reused : int;
     scope_rebuilds : int;
+    scratch_reused : int;
     cnf_vars : int;
     cnf_clauses : int;
     time : float;
@@ -39,7 +40,7 @@ module Stats = struct
       sat_decisions = 0; sat_propagations = 0; sat_timeouts = 0;
       sat_retries = 0;
       scope_pushes = 0; scope_pops = 0; scope_reused = 0; scope_rebuilds = 0;
-      cnf_vars = 0; cnf_clauses = 0;
+      scratch_reused = 0; cnf_vars = 0; cnf_clauses = 0;
       time = 0.0;
       interval_time = 0.0; bitblast_time = 0.0; sat_time = 0.0 }
 
@@ -68,6 +69,7 @@ module Stats = struct
       scope_pops = a.scope_pops - b.scope_pops;
       scope_reused = a.scope_reused - b.scope_reused;
       scope_rebuilds = a.scope_rebuilds - b.scope_rebuilds;
+      scratch_reused = a.scratch_reused - b.scratch_reused;
       cnf_vars = a.cnf_vars - b.cnf_vars;
       cnf_clauses = a.cnf_clauses - b.cnf_clauses;
       time = a.time -. b.time;
@@ -97,6 +99,7 @@ module Stats = struct
       scope_pops = a.scope_pops + b.scope_pops;
       scope_reused = a.scope_reused + b.scope_reused;
       scope_rebuilds = a.scope_rebuilds + b.scope_rebuilds;
+      scratch_reused = a.scratch_reused + b.scratch_reused;
       cnf_vars = a.cnf_vars + b.cnf_vars;
       cnf_clauses = a.cnf_clauses + b.cnf_clauses;
       time = a.time +. b.time;
@@ -116,13 +119,14 @@ module Stats = struct
       "queries=%d slices=%d slice-hits=%d cache=%d cex=%d evict=%d/%d \
        itv-unsat=%d itv-sat=%d sat-calls=%d conflicts=%d decisions=%d \
        propagations=%d timeouts=%d retries=%d scope=%d/%d reuse=%d \
-       rebuilds=%d cnf=%dv/%dc time=%.3fs (itv=%.3fs blast=%.3fs sat=%.3fs)"
+       rebuilds=%d scratch-reuse=%d cnf=%dv/%dc time=%.3fs \
+       (itv=%.3fs blast=%.3fs sat=%.3fs)"
       t.queries t.slices t.slice_hits t.cache_hits t.cex_hits
       t.query_evictions t.cex_evictions t.interval_unsat
       t.interval_sat t.sat_calls t.sat_conflicts t.sat_decisions
       t.sat_propagations t.sat_timeouts t.sat_retries
       t.scope_pushes t.scope_pops t.scope_reused t.scope_rebuilds
-      t.cnf_vars t.cnf_clauses t.time
+      t.scratch_reused t.cnf_vars t.cnf_clauses t.time
       t.interval_time t.bitblast_time t.sat_time
 
   let to_json t =
@@ -146,6 +150,7 @@ module Stats = struct
         ("scope_pops", Obs.Json.Int t.scope_pops);
         ("scope_reused", Obs.Json.Int t.scope_reused);
         ("scope_rebuilds", Obs.Json.Int t.scope_rebuilds);
+        ("scratch_reused", Obs.Json.Int t.scratch_reused);
         ("cnf_vars", Obs.Json.Int t.cnf_vars);
         ("cnf_clauses", Obs.Json.Int t.cnf_clauses);
         ("time", Obs.Json.Float t.time);
@@ -180,6 +185,7 @@ module Stats = struct
       scope_pops = int "scope_pops";
       scope_reused = int "scope_reused";
       scope_rebuilds = int "scope_rebuilds";
+      scratch_reused = int "scratch_reused";
       cnf_vars = int "cnf_vars";
       cnf_clauses = int "cnf_clauses";
       time = flt "time";
@@ -439,18 +445,65 @@ let note_cnf sat ~vars0 ~clauses0 =
         cnf_vars = !current.cnf_vars + Sat.num_vars sat - vars0;
         cnf_clauses = !current.cnf_clauses + Sat.num_clauses sat - clauses0 })
 
-(* The scratch pipeline's one SAT instance and encoding context, reset
-   at the start of every attempt instead of allocated per query.  A
-   reset pair is indistinguishable from a fresh one, so a scratch model
-   stays a pure function of the slice; resetting on entry (not on exit)
-   means an attempt abandoned mid-encoding leaves nothing behind. *)
+(* The scratch pipeline's one SAT instance and encoding context, kept
+   holding the encoding of the last slice they solved.  A slice is
+   encoded oldest constraint first (the engine's path condition is
+   newest first), so the slices of successive queries along a path
+   extend each other as prefixes.  [scratch_prefix] holds one entry per
+   encoded constraint: its id and the checkpoints of both halves of the
+   pair taken right after it.  Each attempt restores the pair to the
+   longest common prefix with its slice and encodes only the rest.  A
+   restored pair is exactly a fresh pair that encoded the same prefix,
+   so a scratch model stays a pure function of the slice; restoring on
+   entry (not on exit) means an attempt abandoned mid-encoding or
+   mid-search leaves nothing behind. *)
+type prefix_entry = {
+  p_id : int;
+  p_sat : Sat.checkpoint;
+  p_ctx : Bitblast.checkpoint;
+}
+
 let scratch_sat = Sat.create ()
 let scratch_ctx = Bitblast.create scratch_sat
 
+let scratch_mark id =
+  { p_id = id; p_sat = Sat.checkpoint scratch_sat;
+    p_ctx = Bitblast.checkpoint scratch_ctx }
+
+let scratch_empty = scratch_mark (-1)
+let scratch_prefix = ref (Array.make 64 scratch_empty)
+let scratch_depth = ref 0
+
+(* Restore the pair to the longest prefix of [cs] (oldest first) it
+   holds encoded, and return the constraints still to encode. *)
+let restore_scratch cs =
+  let stack = !scratch_prefix in
+  let rec common k = function
+    | (c : Expr.t) :: rest
+      when k < !scratch_depth && stack.(k).p_id = c.Expr.id ->
+      common (k + 1) rest
+    | rest -> (k, rest)
+  in
+  let k, rest = common 0 cs in
+  let e = if k = 0 then scratch_empty else stack.(k - 1) in
+  Sat.restore scratch_sat e.p_sat;
+  Bitblast.rollback scratch_ctx e.p_ctx;
+  scratch_depth := k;
+  Stats.(
+    current := { !current with scratch_reused = !current.scratch_reused + k });
+  rest
+
+let encode_scratch (c : Expr.t) =
+  Bitblast.assert_true scratch_ctx c;
+  if !scratch_depth = Array.length !scratch_prefix then
+    scratch_prefix :=
+      Array.append !scratch_prefix
+        (Array.make (Array.length !scratch_prefix) scratch_empty);
+  !scratch_prefix.(!scratch_depth) <- scratch_mark c.Expr.id;
+  incr scratch_depth
+
 let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
   let sat = scratch_sat and ctx = scratch_ctx in
-  Sat.reset sat;
-  Bitblast.reset ctx;
   let stop () = !interrupt_check () in
   Bitblast.set_deadline ctx deadline;
   Bitblast.set_stop ctx (Some stop);
@@ -459,7 +512,13 @@ let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
       (fun s dt -> { s with Stats.bitblast_time = s.Stats.bitblast_time +. dt })
       (fun _ -> [ ("vars", Obs.Event.Int (Sat.num_vars sat)) ])
       (fun () ->
-         match List.iter (Bitblast.assert_true ctx) constraints with
+         (* Poll before encoding: a slice whose whole encoding is
+            reused may reach a verdict without translating a node. *)
+         match
+           let rest = restore_scratch (List.rev constraints) in
+           Bitblast.poll ctx;
+           List.iter encode_scratch rest
+         with
          | () -> Ok ()
          | exception Sat.Timeout ->
            Stats.(
@@ -510,6 +569,10 @@ let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
        (* Safety net: a model must satisfy the query by evaluation. *)
        check_model "SAT" model constraints;
        Sat model)
+
+let scratch_check ?conflict_limit ?deadline constraints =
+  solve_with_sat ?conflict_limit ?deadline ~attempt:0 constraints
+    (Slice.vars constraints)
 
 (* The incremental variant of [solve_with_sat]: reuse the family's
    retained instance, encode only constraints it has never seen (each

@@ -112,6 +112,15 @@ val check_pair :
     gets a fresh [timeout_ms] budget rather than the true child's
     leftovers. *)
 
+val scratch_check :
+  ?conflict_limit:int -> ?deadline:float -> Expr.t list -> outcome
+(** The scratch SAT stage alone, with no cache, prescreen or slicing:
+    the constraints (newest first, like a path condition) are
+    bit-blasted oldest first onto the one scratch instance, reusing the
+    longest prefix it holds encoded, and solved.  Counted in {!Stats}
+    like a scratch SAT attempt, but not as a query.  Exposed for
+    tests. *)
+
 val set_retries : int -> unit
 (** Bound the retry-with-restart loop (default 0: a first Unknown is
     final, the pre-retry behaviour).  Retries are counted in
@@ -160,7 +169,7 @@ val set_independence : bool -> unit
 val set_incremental : bool -> unit
 (** Enable or disable incremental scope solving (enabled by default).
     When disabled, [check] with a [scope] falls back to the scratch
-    path (bit-blasting onto the reset scratch instance); results are
+    path (bit-blasting onto the one scratch instance); results are
     identical either way, only cost differs.  Used by
     [--no-incremental] and the incremental-ablation benchmark. *)
 
@@ -196,6 +205,8 @@ module Stats : sig
                                   from a retained instance *)
     scope_rebuilds : int;     (** retained instances dropped for
                                   outgrowing the guard cap *)
+    scratch_reused : int;     (** constraints whose scratch encoding
+                                  came from the kept prefix *)
     cnf_vars : int;           (** SAT variables created by bit-blasting
                                   (guards included) *)
     cnf_clauses : int;        (** clauses bit-blasting added to SAT

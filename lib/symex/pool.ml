@@ -1423,8 +1423,11 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
    | _ -> ());
   Transport.init ();
   let strategy_str = Search.strategy_to_string strategy in
+  (* One drain flag, set by every SIGTERM handler below: a worker forked
+     by a pool keeps its copy, so a drain that reaches it before its own
+     handler is installed is not lost. *)
+  let drain = ref false in
   let worker_loop slot =
-    let drain = ref false in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
     let writing = ref false in
     let reconnects = ref 0 in
@@ -1525,30 +1528,35 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
   else begin
     flush stdout;
     flush stderr;
-    let pids =
-      List.init workers (fun slot ->
-          match Unix.fork () with
-          | 0 ->
-            Obs.Progress.disable ();
-            Obs.Sink.reset ();
-            let code = try worker_loop slot with _ -> 1 in
-            Unix._exit code
-          | pid -> pid)
-    in
-    (* Forward a drain request to every worker in the pool. *)
+    (* Forward a drain request to every worker in the pool.  The
+       handler is in place before the first fork, so a drain that comes
+       while the pool is starting cannot orphan a worker. *)
+    let forked = ref [] in
     Sys.set_signal Sys.sigterm
       (Sys.Signal_handle
          (fun _ ->
+            drain := true;
             List.iter
               (fun pid -> try Unix.kill pid Sys.sigterm with _ -> ())
-              pids));
-    List.fold_left
-      (fun worst pid ->
-         match Unix.waitpid [] pid with
-         | _, Unix.WEXITED c -> max worst c
-         | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> max worst 1
-         | exception _ -> worst)
-      0 pids
+              !forked));
+    for slot = 0 to workers - 1 do
+      match Unix.fork () with
+      | 0 ->
+        Obs.Progress.disable ();
+        Obs.Sink.reset ();
+        let code = try worker_loop slot with _ -> 1 in
+        Unix._exit code
+      | pid -> forked := pid :: !forked
+    done;
+    (* A drain interrupts [waitpid]; keep waiting for that worker. *)
+    let rec wait pid =
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED c -> c
+      | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> 1
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pid
+      | exception _ -> 0
+    in
+    List.fold_left (fun worst pid -> max worst (wait pid)) 0 (List.rev !forked)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -183,8 +183,9 @@ let test_lease_settle_drops_pending_copy () =
 (* Run [name] distributed: a listening master with no local workers,
    plus remote worker pools forked as child processes (each dialing the
    master's loopback port).  [kill_after] SIGKILLs the first pool
-   mid-campaign; [drain_after] SIGTERMs it instead.  Returns the
-   master's report and the non-killed pools' exit codes. *)
+   mid-campaign; [drain_after] SIGTERMs it instead.  Every pool is
+   SIGTERM-drained once the master returns.  Returns the master's
+   report and the non-killed pools' exit codes. *)
 let run_distributed ?(pools = [ 2 ]) ?kill_after ?drain_after ?local_workers
     ~strategy name =
   let l = Transport.listen ~host:"127.0.0.1" ~port:0 () in
@@ -229,6 +230,11 @@ let run_distributed ?(pools = [ 2 ]) ?kill_after ?drain_after ?local_workers
   let sc = scenario ~strategy ~workers ~listen:l ~lease_ms:2000 () in
   let report = Verify.run_test sc name in
   Transport.close_listener l;
+  (* Registered workers were told to stop, but a pool worker whose
+     first dial came after the master finished would redial the closed
+     port forever: drain every pool.  A drained pool still exits 0. *)
+  List.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+    kids;
   let codes =
     List.mapi
       (fun i pid ->

@@ -630,16 +630,22 @@ let test_solver_random_vs_brute =
           in
           List.for_all (fun c -> agree [ c ]) cs && agree cs))
 
-(* [Sat.reset] and [Bitblast.reset] must turn a used instance back into
-   a fresh one: the scratch pipeline reuses one pair for every query, so
-   any state that survived a reset would make scratch models depend on
-   the queries before them.  Each case dirties a pair with an earlier
-   encoding and CNF, optionally abandons it by [Sat.Timeout]
-   mid-encoding or mid-search, resets it, and then solves a random CNF
-   (with or without assumptions) and a random bitvector query on it and
-   on a fresh pair: result, model, CNF size and search counters must
-   all match. *)
+(* [Sat.restore] and [Bitblast.rollback] must turn a used pair back
+   into exactly the pair a fresh encoding of the same prefix gives: the
+   scratch pipeline keeps one pair and restores it to the prefix each
+   query shares with the one before, so any state that survived a
+   restore would make scratch models depend on the queries before them.
+   One test checkpoints the pair after a prefix query and restores it
+   with [Sat.restore] and [Bitblast.rollback]; the other encodes no
+   prefix and goes back to the empty pair with [Sat.reset] and
+   [Bitblast.reset].  Each case checkpoints the pair, dirties it
+   with an encoding and a CNF, optionally abandons it by [Sat.Timeout]
+   mid-encoding or mid-search, restores it, and then solves a random
+   CNF (with or without assumptions) and a random bitvector query on it
+   and on a fresh pair that encoded the same prefix: result, model, CNF
+   size and search counters must all match. *)
 type reuse_case = {
+  r_prefix : bool;             (* checkpoint after a prefix query, or reset *)
   r_vars : int;
   r_cnf : int list list;
   r_assumptions : int list;
@@ -656,14 +662,14 @@ let gen_cnf st nvars =
           let v = 1 + Random.State.int st nvars in
           if Random.State.bool st then v else -v))
 
-let gen_reuse_case st =
+let gen_reuse_case r_prefix st =
   let r_vars = 2 + Random.State.int st 12 in
   let r_assumptions =
     List.init (Random.State.int st 4) (fun _ ->
         let v = 1 + Random.State.int st r_vars in
         if Random.State.bool st then v else -v)
   in
-  { r_vars; r_cnf = gen_cnf st r_vars; r_assumptions;
+  { r_prefix; r_vars; r_cnf = gen_cnf st r_vars; r_assumptions;
     r_prior = gen_cnf st (r_vars + 6);
     r_abandon =
       (match Random.State.int st 3 with
@@ -673,7 +679,8 @@ let gen_reuse_case st =
     r_query = gen_diff_query st }
 
 let print_reuse_case c =
-  Printf.sprintf "%d vars, cnf %s, assumptions [%s], abandon %s, query %s"
+  Printf.sprintf "%s, %d vars, cnf %s, assumptions [%s], abandon %s, query %s"
+    (if c.r_prefix then "prefix" else "empty")
     c.r_vars
     (String.concat " & "
        (List.map
@@ -720,13 +727,37 @@ let big_term () =
   done;
   Expr.eq !acc (Expr.int ~width:16 7)
 
-let test_sat_reset_is_create =
+let reuse_test ~prefix name =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"sat: reset behaves like create"
-       (QCheck.make ~print:print_reuse_case gen_reuse_case)
+    (QCheck.Test.make ~count:300 ~name
+       (QCheck.make ~print:print_reuse_case (gen_reuse_case prefix))
        (fun c ->
-          let sat = Sat.create () in
-          let ctx = Smt.Bitblast.create sat in
+          let prefix =
+            if c.r_prefix then
+              c.r_query.build
+                (Expr.fresh_var "xp" c.r_query.vw)
+                (Expr.fresh_var "yp" c.r_query.vw)
+            else []
+          in
+          let pair () =
+            let sat = Sat.create () in
+            let ctx = Smt.Bitblast.create sat in
+            List.iter (Smt.Bitblast.assert_true ctx) prefix;
+            (sat, ctx)
+          in
+          let sat, ctx = pair () in
+          let ck_sat = Sat.checkpoint sat
+          and ck_ctx = Smt.Bitblast.checkpoint ctx in
+          let restore () =
+            if c.r_prefix then begin
+              Sat.restore sat ck_sat;
+              Smt.Bitblast.rollback ctx ck_ctx
+            end
+            else begin
+              Sat.reset sat;
+              Smt.Bitblast.reset ctx
+            end
+          in
           (* The earlier use, left standing on the instance: the same
              query shape over other variables (so stale gate hashes
              would collide with the later encoding), then a CNF. *)
@@ -757,27 +788,137 @@ let test_sat_reset_is_create =
              (match Sat.solve ~deadline:0.0 sat with
               | _ -> ()
               | exception Sat.Timeout -> ()));
-          let reset () =
-            Sat.reset sat;
-            Smt.Bitblast.reset ctx
-          in
-          reset ();
-          let fresh = Sat.create () in
+          restore ();
+          let fresh, _ = pair () in
           if solve_cnf sat c.r_vars c.r_cnf c.r_assumptions
              <> solve_cnf fresh c.r_vars c.r_cnf c.r_assumptions
-          then QCheck.Test.fail_report "CNF: reset instance differs from fresh";
-          reset ();
+          then QCheck.Test.fail_report "CNF: restored instance differs from fresh";
+          restore ();
           let x = Expr.fresh_var "x" c.r_query.vw
           and y = Expr.fresh_var "y" c.r_query.vw in
           let cs = c.r_query.build x y in
-          let fresh = Sat.create () in
+          let fresh, fresh_ctx = pair () in
           let reused = solve_query sat ctx (var_of x) (var_of y) cs in
-          let created =
-            solve_query fresh (Smt.Bitblast.create fresh) (var_of x) (var_of y)
-              cs
-          in
+          let created = solve_query fresh fresh_ctx (var_of x) (var_of y) cs in
           if reused <> created then
-            QCheck.Test.fail_report "query: reset pair differs from fresh";
+            QCheck.Test.fail_report "query: restored pair differs from fresh";
+          true))
+
+let test_sat_reset_is_create =
+  reuse_test ~prefix:false "sat: reset behaves like create"
+
+let test_sat_restore_is_fresh =
+  reuse_test ~prefix:true "sat: restore behaves like a fresh encoding"
+
+(* The scratch pipeline keeps its encoded path-condition prefix between
+   queries.  A random push/pop walk over constraints from the
+   random-term generator (plus a long chain over its own variable, so
+   encoding polls its stop predicate several times) solves the current
+   path condition through [Solver.scratch_check] at random points, and
+   each solve must match a fresh pair that encodes the same path
+   condition oldest first: result, model, CNF size and search counters.
+   Some solves are abandoned by [Sat.Timeout] from the stop predicate,
+   mid-encoding or mid-search; the solve after one must still match. *)
+type walk_step = Push of int | Pop | Solve | Abandon of int
+
+type walk_case = { w_vw : int; w_pool : builder list; w_steps : walk_step list }
+
+let walk_pool = 4
+
+let gen_walk_case st =
+  let w_vw = 1 + Random.State.int st max_diff_width in
+  let w_pool = List.init walk_pool (fun _ -> gen_bool w_vw 2 st) in
+  let step _ =
+    match Random.State.int st 10 with
+    | 0 | 1 | 2 | 3 ->
+      (* Index [walk_pool] is the chain. *)
+      Push
+        (if Random.State.int st 3 = 0 then walk_pool
+         else Random.State.int st walk_pool)
+    | 4 | 5 -> Pop
+    | 6 | 7 | 8 -> Solve
+    | _ -> Abandon (2 + Random.State.int st 3)
+  in
+  { w_vw; w_pool; w_steps = List.init (8 + Random.State.int st 16) step @ [ Solve ] }
+
+let print_walk_case c =
+  let x = Expr.fresh_var "x" c.w_vw and y = Expr.fresh_var "y" c.w_vw in
+  Printf.sprintf "width %d, pool [%s], steps %s" c.w_vw
+    (String.concat "; " (List.map (fun b -> Expr.to_string (b x y)) c.w_pool))
+    (String.concat " "
+       (List.map
+          (function
+            | Push i -> Printf.sprintf "push%d" i
+            | Pop -> "pop"
+            | Solve -> "solve"
+            | Abandon k -> Printf.sprintf "abandon%d" k)
+          c.w_steps))
+
+let chain_term () =
+  let z = Expr.fresh_var "chain" 6 in
+  let acc = ref z in
+  for i = 1 to 150 do
+    acc := Expr.add (Expr.bxor !acc z) (Expr.int ~width:6 i)
+  done;
+  Expr.ult !acc (Expr.int ~width:6 9)
+
+let test_scratch_prefix_is_fresh =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"solver: scratch prefix reuse = fresh encoding"
+       (QCheck.make ~print:print_walk_case gen_walk_case)
+       (fun c ->
+          let x = Expr.fresh_var "wx" c.w_vw and y = Expr.fresh_var "wy" c.w_vw in
+          let pool =
+            Array.of_list (List.map (fun b -> b x y) c.w_pool @ [ chain_term () ])
+          in
+          let fresh pc =
+            let sat = Sat.create () in
+            let ctx = Smt.Bitblast.create sat in
+            List.iter (Smt.Bitblast.assert_true ctx) (List.rev pc);
+            let r = Sat.solve sat in
+            let model =
+              if r = Sat.Sat then
+                Model.to_string
+                  (Smt.Bitblast.extract_model ctx (Smt.Slice.vars pc))
+              else ""
+            in
+            sat_trace sat r model
+          in
+          let scratch pc =
+            let s0 = Solver.Stats.get () in
+            let r = Solver.scratch_check pc in
+            let d = Solver.Stats.sub (Solver.Stats.get ()) s0 in
+            let result, model =
+              match r with
+              | Solver.Sat m -> (Sat.Sat, Model.to_string m)
+              | Solver.Unsat -> (Sat.Unsat, "")
+              | Solver.Unknown msg -> QCheck.Test.fail_reportf "unknown: %s" msg
+            in
+            ( result, model, d.Solver.Stats.cnf_vars, d.Solver.Stats.cnf_clauses,
+              d.Solver.Stats.sat_conflicts, d.Solver.Stats.sat_decisions,
+              d.Solver.Stats.sat_propagations )
+          in
+          let abandon pc k =
+            let polls = ref 0 in
+            Solver.set_interrupt_check (fun () ->
+                incr polls;
+                if !polls >= k then raise Sat.Timeout;
+                false);
+            Fun.protect
+              ~finally:(fun () -> Solver.set_interrupt_check (fun () -> false))
+              (fun () -> ignore (Solver.scratch_check pc))
+          in
+          let pc = ref [] in
+          List.iter
+            (function
+              | Push i -> pc := pool.(i) :: !pc
+              | Pop -> (match !pc with [] -> () | _ :: rest -> pc := rest)
+              | Solve ->
+                if scratch !pc <> fresh !pc then
+                  QCheck.Test.fail_reportf "scratch differs from fresh on %s"
+                    (String.concat " & " (List.map Expr.to_string !pc))
+              | Abandon k -> abandon !pc k)
+            c.w_steps;
           true))
 
 (* Gate-level folding: constant operand bits cost no variables. *)
@@ -1148,6 +1289,34 @@ let test_solver_timeout_returns_unknown () =
    | _ -> Alcotest.fail "x*x = 3 should be unsat");
   Solver.clear_caches ()
 
+(* A slice whose encoding the scratch pair already holds reaches the
+   SAT stage without translating a node, and a prefix whose encoding
+   is already unsat answers before the CDCL loop polls; the deadline
+   and the interrupt hook must still be honoured. *)
+let test_solver_timeout_on_reused_prefix () =
+  Solver.clear_caches ();
+  (* c /\ not c: its encoding alone makes the instance unsat. *)
+  let q = match hard_query () with c :: _ -> [ c; Expr.not_ c ] | [] -> [] in
+  (match Solver.check q with
+   | Solver.Unsat -> ()
+   | _ -> Alcotest.fail "c /\ not c should be unsat");
+  Solver.clear_caches ();
+  let before = (Solver.Stats.get ()).Solver.Stats.sat_timeouts in
+  (match Solver.check ~timeout_ms:0 q with
+   | Solver.Unknown _ -> ()
+   | Solver.Sat _ -> Alcotest.fail "expected Unknown, got Sat"
+   | Solver.Unsat -> Alcotest.fail "expected Unknown, got Unsat");
+  let after = (Solver.Stats.get ()).Solver.Stats.sat_timeouts in
+  Alcotest.(check bool) "timeout counted" true (after > before);
+  Solver.clear_caches ();
+  Solver.set_interrupt_check (fun () -> true);
+  let r = Solver.check q in
+  Solver.set_interrupt_check (fun () -> false);
+  Solver.clear_caches ();
+  match r with
+  | Solver.Unknown _ -> ()
+  | Solver.Sat _ | Solver.Unsat -> Alcotest.fail "interrupt: expected Unknown"
+
 let test_solver_interrupt_returns_unknown () =
   Solver.clear_caches ();
   Solver.set_interrupt_check (fun () -> true);
@@ -1165,7 +1334,8 @@ let test_solver_stats_json_roundtrip () =
       interval_unsat = 6; interval_sat = 8; sat_calls = 10;
       sat_conflicts = 11; sat_decisions = 12; sat_propagations = 13;
       sat_timeouts = 14; sat_retries = 15; scope_pushes = 16; scope_pops = 17;
-      scope_reused = 18; scope_rebuilds = 19; cnf_vars = 20; cnf_clauses = 21;
+      scope_reused = 18; scope_rebuilds = 19; scratch_reused = 22;
+      cnf_vars = 20; cnf_clauses = 21;
       time = 1.5; interval_time = 0.25; bitblast_time = 0.5; sat_time = 0.75 }
   in
   let s' = Solver.Stats.of_json (Solver.Stats.to_json s) in
@@ -1174,7 +1344,9 @@ let test_solver_stats_json_roundtrip () =
   let z = Solver.Stats.of_json (Obs.Json.Obj [ ("queries", Obs.Json.Int 3) ]) in
   Alcotest.(check int) "present field" 3 z.Solver.Stats.queries;
   Alcotest.(check int) "missing field" 0 z.Solver.Stats.sat_timeouts;
-  Alcotest.(check int) "missing cnf counter" 0 z.Solver.Stats.cnf_clauses
+  Alcotest.(check int) "missing cnf counter" 0 z.Solver.Stats.cnf_clauses;
+  Alcotest.(check int) "missing scratch counter" 0
+    z.Solver.Stats.scratch_reused
 
 (* ------------------------------------------------------------------ *)
 (* Incremental solving: assumptions, scopes, the shared retry budget   *)
@@ -1395,6 +1567,8 @@ let suite =
     ("solver: nonlinear", `Quick, test_solver_nonlinear);
     test_solver_random_vs_brute;
     test_sat_reset_is_create;
+    test_sat_restore_is_fresh;
+    test_scratch_prefix_is_fresh;
     ("solver: query cache", `Quick, test_solver_cache);
     ("slice: partition crafted sets", `Quick, test_slice_partition);
     ("slice: partition is a partition (random)", `Quick,
@@ -1415,6 +1589,8 @@ let suite =
     ("solver: cache capacity and evictions", `Quick,
      test_solver_cache_capacity_evictions);
     ("solver: per-query timeout", `Quick, test_solver_timeout_returns_unknown);
+    ("solver: timeout on a reused prefix", `Quick,
+     test_solver_timeout_on_reused_prefix);
     ("solver: interrupt hook", `Quick, test_solver_interrupt_returns_unknown);
     ("solver: stats JSON roundtrip", `Quick, test_solver_stats_json_roundtrip);
     ("sat: assumptions", `Quick, test_sat_assumptions);
