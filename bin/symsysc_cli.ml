@@ -88,22 +88,6 @@ let solver_cache_cap =
   Arg.(value & opt (some int) None
        & info [ "solver-cache-cap" ] ~docv:"N" ~doc)
 
-let no_independence =
-  let doc =
-    "Disable constraint-independence slicing in the solver (solve every \
-     query as one monolithic constraint set)."
-  in
-  Arg.(value & flag & info [ "no-independence" ] ~doc)
-
-let no_incremental =
-  let doc =
-    "Disable incremental scope solving (rebuild the SAT instance from \
-     scratch for every query instead of reusing retained instances \
-     across the decision tree).  Verdicts and bug sites are identical \
-     either way; only solving cost differs."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 (* HOST:PORT parsing shared by --listen and --connect.  The split is on
    the last ':' so a future bracketed-IPv6 host keeps its colons. *)
 let hostport_conv =
@@ -235,11 +219,8 @@ let strategy =
    than reassembling config bundles. *)
 let scenario_term =
   let make interrupts t5_len max_paths max_seconds max_solver_conflicts
-      solver_timeout_ms max_memory_mb seed solver_cache_cap no_independence
-      no_incremental strategy workers listen lease_ms
-      solver_retries no_validate no_snapshots chaos_spec chaos_seed =
-    Smt.Solver.set_independence (not no_independence);
-    Smt.Solver.set_incremental (not no_incremental);
+      solver_timeout_ms max_memory_mb seed solver_cache_cap strategy
+      workers listen lease_ms solver_retries no_validate no_snapshots chaos_spec chaos_seed =
     Option.iter (fun cap -> Smt.Solver.set_cache_capacity ~query:cap ())
       solver_cache_cap;
     Smt.Solver.set_retries solver_retries;
@@ -267,8 +248,7 @@ let scenario_term =
   Term.(
     const make $ interrupts $ t5_len $ max_paths $ max_seconds
     $ max_solver_conflicts $ solver_timeout_ms $ max_memory_mb $ seed
-    $ solver_cache_cap $ no_independence $ no_incremental $ strategy
-    $ workers $ listen $ lease_ms $ solver_retries
+    $ solver_cache_cap $ strategy $ workers $ listen $ lease_ms $ solver_retries
     $ no_validate $ no_snapshots $ chaos_spec $ chaos_seed)
 
 (* ---- observability options ---- *)

@@ -194,16 +194,6 @@ module Stats = struct
       sat_time = flt "sat_time" }
 end
 
-let caching = ref true
-let set_caching b = caching := b
-
-let independence = ref true
-let set_independence b = independence := b
-
-let incremental = ref true
-let set_incremental b = incremental := b
-let incremental_enabled () = !incremental
-
 (* An incremental solving scope: retained CDCL instances (learned
    clauses, VSIDS activities, watch lists, variable numbering) plus a
    frame stack mirroring the engine's decision tree.
@@ -297,12 +287,10 @@ let scope_instance (scope : Scope.t) vars =
 
 (* Per-slice query cache: the canonical key is the sorted list of term
    ids of one independent slice (terms are hash-consed, so equal
-   constraint sets share a key).  With independence disabled the whole
-   constraint set is one slice, recovering the old whole-query cache.
-   Bounded by LRU eviction so unbounded campaigns cannot exhaust
-   memory; the default capacity is large enough that decision-prefix
-   replay within a run stays deterministic in practice (see
-   [set_cache_capacity]). *)
+   constraint sets share a key).  Bounded by LRU eviction so unbounded
+   campaigns cannot exhaust memory; the default capacity is large
+   enough that decision-prefix replay within a run stays deterministic
+   in practice (see [set_cache_capacity]). *)
 let default_query_cache_cap = 65536
 let default_cex_index_cap = 4096
 
@@ -346,19 +334,17 @@ let set_cache_capacity ?query ?cex () =
 let cache_sizes () = (Lru.length query_cache, Lru.length cex_index)
 
 let remember_model m =
-  if !caching then begin
-    List.iter
-      (fun ((v : Expr.var), _) ->
-         let prev =
-           match Lru.find cex_index v.Expr.var_id with
-           | Some models -> models
-           | None -> []
-         in
-         Lru.put cex_index v.Expr.var_id
-           (m :: List.filteri (fun i _ -> i < cex_per_var - 1) prev))
-      (Model.bindings m);
-    note_evictions ()
-  end
+  List.iter
+    (fun ((v : Expr.var), _) ->
+       let prev =
+         match Lru.find cex_index v.Expr.var_id with
+         | Some models -> models
+         | None -> []
+       in
+       Lru.put cex_index v.Expr.var_id
+         (m :: List.filteri (fun i _ -> i < cex_per_var - 1) prev))
+    (Model.bindings m);
+  note_evictions ()
 
 (* Candidate models are those indexed under the slice's first variable
    and binding every other slice variable; only those are evaluated.
@@ -366,23 +352,21 @@ let remember_model m =
    may come from a larger query and bind variables of other slices,
    and those extra bindings must not leak into the merged answer. *)
 let cex_lookup vars constraints =
-  if not !caching then None
-  else
-    match vars with
-    | [] -> None
-    | (v0 : Expr.var) :: rest ->
-      (match Lru.find cex_index v0.Expr.var_id with
-       | None -> None
-       | Some models ->
-         Option.map
-           (fun m -> Model.of_fun vars (Model.find m))
-           (List.find_opt
-              (fun m ->
-                 List.for_all
-                   (fun (v : Expr.var) -> Model.find_opt m v <> None)
-                   rest
-                 && Model.satisfies m constraints)
-              models))
+  match vars with
+  | [] -> None
+  | (v0 : Expr.var) :: rest ->
+    (match Lru.find cex_index v0.Expr.var_id with
+     | None -> None
+     | Some models ->
+       Option.map
+         (fun m -> Model.of_fun vars (Model.find m))
+         (List.find_opt
+            (fun m ->
+               List.for_all
+                 (fun (v : Expr.var) -> Model.find_opt m v <> None)
+                 rest
+               && Model.satisfies m constraints)
+            models))
 
 let clear_caches () =
   Lru.clear query_cache;
@@ -686,9 +670,9 @@ let sat_attempt ?scope ?conflict_limit ?deadline ~attempt constraints vars =
   end
   else
     match scope with
-    | Some sc when !incremental ->
+    | Some sc ->
       scope_solve sc ?conflict_limit ?deadline ~attempt constraints vars
-    | Some _ | None ->
+    | None ->
       solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars
 
 let sat_with_retries ?scope ?conflict_limit ?deadline constraints vars =
@@ -767,7 +751,7 @@ let solve_slice ?scope ?conflict_limit ?deadline constraints vars =
     let r =
       sat_with_retries ?scope ?conflict_limit ?deadline constraints vars
     in
-    let scoped = match scope with Some _ -> !incremental | None -> false in
+    let scoped = Option.is_some scope in
     (match r with
      | Sat m when not scoped -> remember_model m
      | Sat _ | Unsat | Unknown _ -> ());
@@ -775,7 +759,15 @@ let solve_slice ?scope ?conflict_limit ?deadline constraints vars =
 
 (* One independent slice: per-slice query cache, then the variable-
    indexed counterexample cache, then the solving pipeline.  Emits a
-   [solver/slice] span per slice when the sink is enabled. *)
+   [solver/slice] span per slice when the sink is enabled.
+
+   Every [Sat] model this returns has already been evaluated against
+   the slice's own constraint set: a SAT model by [check_model "SAT"],
+   an interval candidate by [Model.satisfies], a cex hit inside
+   [cex_lookup], and a query-cache hit was stored by one of those under
+   the same sorted-id key.  So when the slice is a query's whole
+   constraint set, the merged safety net would evaluate the same model
+   against the same set a second time, and callers skip it. *)
 let check_slice ?scope ?conflict_limit ?deadline constraints =
   let t0 = Unix.gettimeofday () in
   let clock0 = Obs.Profile.stage_clock () in
@@ -805,7 +797,7 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
     List.sort_uniq Int.compare
       (List.map (fun (c : Expr.t) -> c.Expr.id) constraints)
   in
-  match if !caching then Lru.find query_cache key else None with
+  match Lru.find query_cache key with
   | Some r ->
     Stats.(
       current :=
@@ -828,10 +820,8 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
           branch conditions it rebuilds embed model values — so a slice,
           once answered, must keep answering with the same model even as
           the counterexample index churns. *)
-       if !caching then begin
-         Lru.put query_cache key (Sat m);
-         note_evictions ()
-       end;
+       Lru.put query_cache key (Sat m);
+       note_evictions ();
        finish ~via:"cex" (Sat m)
      | None ->
        let r, cacheable =
@@ -840,7 +830,7 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
        (match r with
         | Unknown _ -> ()
         | Sat _ | Unsat ->
-          if !caching && cacheable then begin
+          if cacheable then begin
             Lru.put query_cache key r;
             note_evictions ()
           end);
@@ -851,10 +841,8 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
    a slice at its resource limit is remembered but the remaining slices
    are still examined, since any of them may still prove Unsat. *)
 let solve_sliced ?scope ?conflict_limit ?deadline constraints =
-  let slices =
-    profiled "slice" (fun () ->
-        if !independence then Slice.partition constraints else [ constraints ])
-  in
+  let slices = profiled "slice" (fun () -> Slice.partition constraints) in
+  let one_slice = match slices with [ _ ] -> true | _ -> false in
   let rec solve_all model unknown = function
     | [] ->
       (match unknown with
@@ -862,8 +850,10 @@ let solve_sliced ?scope ?conflict_limit ?deadline constraints =
        | None ->
          (* Safety net: the merged model must satisfy the whole set
             by evaluation (slices bind disjoint variables, so this
-            can only fail if the partition itself is wrong). *)
-         check_model "merged" model constraints;
+            can only fail if the partition itself is wrong).  A lone
+            slice is the whole set, and [check_slice] already
+            evaluated its model against it. *)
+         if not one_slice then check_model "merged" model constraints;
          Sat model)
     | s :: rest ->
       (match check_slice ?scope ?conflict_limit ?deadline s with
@@ -872,7 +862,7 @@ let solve_sliced ?scope ?conflict_limit ?deadline constraints =
          solve_all model (Some (match unknown with Some m -> m | None -> msg)) rest
        | Sat m -> solve_all (Model.union model m) unknown rest)
   in
-  let via = match slices with [ _ ] -> "pipeline" | _ -> "slices" in
+  let via = if one_slice then "pipeline" else "slices" in
   (solve_all Model.empty None slices, via)
 
 let check ?scope ?conflict_limit ?timeout_ms constraints =
@@ -983,10 +973,7 @@ let check_pair ?scope ?conflict_limit ?timeout_ms ~cond pc =
                      cond_vars)
                 vs
             in
-            let slices =
-              if !independence then Slice.partition pc else [ pc ]
-            in
-            List.partition touches slices)
+            List.partition touches (Slice.partition pc))
       in
       (* Common prefix slices: solved once, verdict shared. *)
       let rec go model unknown = function
@@ -1010,6 +997,9 @@ let check_pair ?scope ?conflict_limit ?timeout_ms ~cond pc =
            | Sat m ->
              (match unknown with
               | Some msg -> Unknown msg
+              | None when common = [] ->
+                (* [cs] is all of [lit :: pc]: its model was checked. *)
+                Sat m
               | None ->
                 let full = Model.union model m in
                 check_model "merged" full (lit :: pc);

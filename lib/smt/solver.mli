@@ -93,11 +93,13 @@ val check :
     [solver-unknown] / [solver-stall] points inject Unknowns/timeouts
     at the same place, healed by the same retry loop.
 
-    With [scope] (and incremental mode enabled, the default), slices
-    that reach the SAT stage are solved on the scope's retained
-    instances under guard assumptions instead of a scratch
-    [Sat.create]; verdicts are identical either way — the caches and
-    the interval prescreen run identically in both modes. *)
+    With [scope], slices that reach the SAT stage are solved on the
+    scope's retained instances under guard assumptions instead of the
+    scratch instance; verdicts are identical either way, and the caches
+    and the interval prescreen run identically in both.  A retained
+    instance's [Sat] model depends on its history, so it is kept out of
+    both caches; callers that consume the model solve without a
+    scope. *)
 
 val check_pair :
   ?scope:Scope.t -> ?conflict_limit:int -> ?timeout_ms:int ->
@@ -155,26 +157,6 @@ val set_interrupt_check : (unit -> bool) -> unit
     when it returns [true] the in-flight query unwinds and [check]
     returns [Unknown "interrupted"].  Used to make SIGINT responsive
     even during a long SAT call. *)
-
-val set_caching : bool -> unit
-(** Enable or disable both caches (enabled by default); used by the
-    cache-ablation benchmark. *)
-
-val set_independence : bool -> unit
-(** Enable or disable independence slicing (enabled by default).  When
-    disabled the whole constraint set is solved as a single slice, as
-    before; results are identical either way, only cost differs.  Used
-    by [--no-independence] and the independence-ablation benchmark. *)
-
-val set_incremental : bool -> unit
-(** Enable or disable incremental scope solving (enabled by default).
-    When disabled, [check] with a [scope] falls back to the scratch
-    path (bit-blasting onto the one scratch instance); results are
-    identical either way, only cost differs.  Used by
-    [--no-incremental] and the incremental-ablation benchmark. *)
-
-val incremental_enabled : unit -> bool
-(** Current incremental-mode setting. *)
 
 val outcome_to_string : outcome -> string
 (** ["sat"], ["unsat"] or ["unknown"]. *)

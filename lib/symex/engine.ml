@@ -357,7 +357,7 @@ let path_check st constraints =
    concretization values — run without the scope: a scratch solve's
    model is a pure function of the constraint slice, so witnesses and
    value enumeration are identical across sequential, parallel and
-   incremental-off runs.  The scope's retained instances answer with
+   resumed runs.  The scope's retained instances answer with
    history-dependent models (learned clauses and saved phases steer the
    search), which is fine for feasibility verdicts but would make a
    worker replaying a decision prefix pick different concrete values

@@ -171,41 +171,6 @@ let test_table2_shape () =
   Alcotest.(check bool) "T3 finds IF6" true (cell "IF6" "T3" <> None)
 
 (* ------------------------------------------------------------------ *)
-(* Independence slicing is invisible end-to-end                        *)
-
-let test_independence_modes_agree () =
-  (* Slicing is a solver-internal optimization: with it disabled the
-     whole table-1 run must produce the same verdicts, error sites and
-     path counts.  Caches are cleared per mode so neither run feeds
-     the other. *)
-  let run_mode independence =
-    Smt.Solver.set_independence independence;
-    Smt.Solver.clear_caches ();
-    List.map
-      (fun (r : Report.t) ->
-         ( r.Report.test_name,
-           Report.verdict_to_string r.Report.verdict,
-           List.sort String.compare (sites_of r),
-           r.Report.engine.Engine.paths ))
-      (Verify.table1 (scenario ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-        Smt.Solver.set_independence true;
-        Smt.Solver.clear_caches ())
-    (fun () ->
-       let on = run_mode true in
-       let off = run_mode false in
-       List.iter2
-         (fun (name, v_on, sites_on, paths_on) (_, v_off, sites_off, paths_off) ->
-            Alcotest.(check string) (name ^ " verdict agrees") v_on v_off;
-            Alcotest.(check (list string)) (name ^ " sites agree") sites_on
-              sites_off;
-            Alcotest.(check int) (name ^ " path count agrees") paths_on
-              paths_off)
-         on off)
-
-(* ------------------------------------------------------------------ *)
 (* Counterexample replay                                               *)
 
 let test_replay_f1_counterexample () =
@@ -501,8 +466,6 @@ let suite =
     ("fixed PLIC passes all tests", `Slow, test_fixed_passes_all);
     ("table2: fault detection pattern", `Slow, test_fault_detection_pattern);
     ("table2: matrix shape", `Slow, test_table2_shape);
-    ("independence on/off modes agree end-to-end", `Slow,
-     test_independence_modes_agree);
     ("replay: F1 counterexample reproduces", `Slow,
      test_replay_f1_counterexample);
     ("strategies agree on T1 findings", `Slow, test_strategies_agree_on_t1);

@@ -1,14 +1,17 @@
-(* Incremental-solving equivalence tests.
+(* Solver-state equivalence tests.
 
-   Incremental scope solving (Solver.Scope: retained CDCL instances
-   queried under guard assumptions) is a pure optimization: every
-   verdict, path total, instruction count and (site, kind) bug set must
-   be identical with it on or off, sequentially or across a worker
-   pool, straight through or checkpointed mid-scope and resumed.  The
-   matrix here runs the incremental-off sequential baseline against
-   incremental-on runs at workers 1 and 4 for every strategy and
-   testbench, then checks the Section 5.3 detection matrix is
-   mode-independent. *)
+   The solver carries state from query to query: retained CDCL
+   instances on each exploration's scope (Solver.Scope: instances
+   queried under guard assumptions) and the process-wide query and
+   counterexample caches, which outlive a run.  None of it may show in
+   what a run finds: every verdict, path total, instruction count and
+   (site, kind) bug set must be identical whether the caches start
+   cold or warm from an identical earlier run, sequentially or across
+   a worker pool (whose workers fork with the warm caches), and
+   straight through or checkpointed mid-scope and resumed.  The
+   detection matrix of Section 5.3 must not notice warm caches
+   either.  Whether the scoped and the scratch pipeline agree is the
+   solver differential gate's question (test_smt). *)
 
 module Engine = Symex.Engine
 module Search = Symex.Search
@@ -45,33 +48,17 @@ let fingerprint (r : Report.t) =
             (err.Error.site, Error.kind_to_string err.Error.kind))
          e.Engine.errors) )
 
-let with_incremental on f =
-  Fun.protect
-    ~finally:(fun () ->
-        Solver.set_incremental true;
-        Solver.clear_caches ())
-    (fun () ->
-       Solver.set_incremental on;
-       Solver.clear_caches ();
-       f ())
-
 let check_matrix strategy name () =
-  let baseline =
-    with_incremental false (fun () ->
-        Verify.run_test (scenario ~strategy ()) name)
-  in
-  let seq =
-    with_incremental true (fun () ->
-        Verify.run_test (scenario ~strategy ()) name)
-  in
-  Alcotest.(check bool) "incremental sequential equals scratch baseline" true
-    (fingerprint seq = fingerprint baseline);
-  let par =
-    with_incremental true (fun () ->
-        Verify.run_test (scenario ~strategy ~workers:4 ()) name)
-  in
-  Alcotest.(check bool) "incremental 4-worker equals scratch baseline" true
-    (fingerprint par = fingerprint baseline)
+  let run workers = Verify.run_test (scenario ~strategy ~workers ()) name in
+  Solver.clear_caches ();
+  let cold = run 1 in
+  let warm = run 1 in
+  let warm_par = run 4 in
+  Solver.clear_caches ();
+  Alcotest.(check bool) "warm-cache sequential equals cold-cache run" true
+    (fingerprint warm = fingerprint cold);
+  Alcotest.(check bool) "warm-cache 4-worker equals cold-cache run" true
+    (fingerprint warm_par = fingerprint cold)
 
 let matrix_cases =
   List.concat_map
@@ -96,9 +83,7 @@ let with_session sc f = { sc with Verify.session = f sc.Verify.session }
 let check_midscope_resume strategy () =
   let sc = scenario ~strategy () in
   let name = "t4" in
-  let straight =
-    with_incremental true (fun () -> Verify.run_test sc name)
-  in
+  let straight = Verify.run_test sc name in
   let saved = ref None in
   let policy =
     { Engine.write = (fun ck -> saved := Some ck); every_s = infinity }
@@ -111,18 +96,14 @@ let check_midscope_resume strategy () =
             { s.Engine.Session.limits with
               Engine.max_instructions = Some 50 } })
   in
-  let _truncated =
-    with_incremental true (fun () -> Verify.run_test truncated_sc name)
-  in
+  let _truncated = Verify.run_test truncated_sc name in
   match !saved with
   | None -> Alcotest.fail "no checkpoint written"
   | Some ck ->
     let resumed =
-      with_incremental true (fun () ->
-          Verify.run_test
-            (with_session sc
-               (fun s -> { s with Engine.Session.resume = Some ck }))
-            name)
+      Verify.run_test
+        (with_session sc (fun s -> { s with Engine.Session.resume = Some ck }))
+        name
     in
     Alcotest.(check bool) "resumed run exhausted" true
       resumed.Report.engine.Engine.exhausted;
@@ -138,16 +119,13 @@ let midscope_cases =
     strategies
 
 (* ------------------------------------------------------------------ *)
-(* Detection matrix mode-independence                                  *)
+(* Detection matrix on warm caches                                     *)
 
 (* The fault-injection campaign of Section 5.3 — the same matrix pinned
-   as a golden in the resilience suite — must not notice the solving
-   mode: detection flags and first-detection latencies are identical
-   with incremental solving on and off. *)
+   as a golden in the resilience suite — must not notice solver state
+   left by an earlier campaign: detection flags and first-detection
+   latencies are identical on cold and warm caches. *)
 let test_detection_matrix_mode_independent () =
-  let run on =
-    with_incremental on (fun () -> Verify.detection_matrix (scenario ()))
-  in
   let summarize m =
     List.map
       (fun (fault, cells) ->
@@ -158,8 +136,13 @@ let test_detection_matrix_mode_independent () =
              cells ))
       m
   in
-  Alcotest.(check bool) "matrix identical across modes" true
-    (summarize (run true) = summarize (run false))
+  let run () = summarize (Verify.detection_matrix (scenario ())) in
+  Solver.clear_caches ();
+  let cold = run () in
+  let warm = run () in
+  Solver.clear_caches ();
+  Alcotest.(check bool) "matrix identical on cold and warm caches" true
+    (warm = cold)
 
 let suite =
   matrix_cases @ midscope_cases

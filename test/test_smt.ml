@@ -468,10 +468,11 @@ let test_solver_nonlinear () =
    two variables of width 1-6, built from every [Expr] operator with
    constant operands mixed in (so partially-constant circuits reach the
    bit-blaster past [Expr]'s both-constant folding), decided by
-   brute-force enumeration and by two encodings — straight through
-   [Bitblast] on a fresh [Sat.t], and through [Solver.check] on a
-   retained scope that first sees each constraint alone, so the
-   conjunction reuses gates across queries.  Terms are generated as
+   brute-force enumeration and by three encodings — straight through
+   [Bitblast] on a fresh [Sat.t], through [Solver.check] on a retained
+   scope that first sees each constraint alone, so the conjunction
+   reuses gates across queries, and through the scope-less scratch
+   pipeline that model-consuming queries take.  Terms are generated as
    builders over the two variables so the same shape can be
    instantiated on fresh variables (for the run) and on named ones
    (for the counterexample printout). *)
@@ -598,8 +599,8 @@ let blast_sat xv yv cs =
         (Model.to_string m);
     true
 
-let solver_sat scope cs =
-  match Solver.check ~scope cs with
+let solver_sat ?scope cs =
+  match Solver.check ?scope cs with
   | Solver.Sat m ->
     if not (Model.satisfies m cs) then
       QCheck.Test.fail_reportf "solver model %s fails evaluation"
@@ -617,14 +618,21 @@ let test_solver_random_vs_brute =
           let xv = var_of x and yv = var_of y in
           let cs = q.build x y in
           let scope = Solver.Scope.create () in
+          (* The scoped and the scratch pipeline each start from empty
+             caches, so neither answers from the other's entries. *)
           let agree cs =
             let expected = brute_sat q.vw xv cs in
             let blasted = blast_sat xv yv cs in
-            let solved = solver_sat scope cs in
-            if blasted <> expected || solved <> expected then
+            Solver.clear_caches ();
+            let scoped = solver_sat ~scope cs in
+            Solver.clear_caches ();
+            let scratch = solver_sat cs in
+            if blasted <> expected || scoped <> expected || scratch <> expected
+            then
               QCheck.Test.fail_reportf
-                "brute force %b, bit-blast %b, solver %b on %s" expected
-                blasted solved
+                "brute force %b, bit-blast %b, scoped solver %b, scratch \
+                 solver %b on %s"
+                expected blasted scoped scratch
                 (String.concat " & " (List.map Expr.to_string cs));
             true
           in
@@ -1106,45 +1114,6 @@ let test_solver_slice_cache_accounting () =
   Alcotest.(check bool) "slices were counted" true
     (stats.Solver.Stats.slices >= 5)
 
-let test_independence_on_off_equivalent () =
-  (* The slicing layer is an optimization: verdicts must be identical
-     with and without it on random multi-variable queries. *)
-  let st = Random.State.make [| 47 |] in
-  let width = 4 in
-  Fun.protect
-    ~finally:(fun () ->
-        Solver.set_independence true;
-        Solver.clear_caches ())
-    (fun () ->
-       for _ = 1 to 40 do
-         let x = Expr.fresh_var "ia" width in
-         let y = Expr.fresh_var "ib" width in
-         let rand_const () =
-           Expr.const (Bv.make ~width (Random.State.int64 st 16L))
-         in
-         let rand_cmp v =
-           match Random.State.int st 3 with
-           | 0 -> Expr.eq v (rand_const ())
-           | 1 -> Expr.ult v (rand_const ())
-           | _ -> Expr.ugt v (rand_const ())
-         in
-         let constraints =
-           List.init
-             (1 + Random.State.int st 4)
-             (fun _ -> rand_cmp (if Random.State.bool st then x else y))
-         in
-         Solver.set_independence true;
-         Solver.clear_caches ();
-         let on = Solver.is_sat constraints in
-         Solver.set_independence false;
-         Solver.clear_caches ();
-         let off = Solver.is_sat constraints in
-         if on <> off then
-           Alcotest.failf "independence changed verdict (%b vs %b) on %s" on
-             off
-             (String.concat " & " (List.map Expr.to_string constraints))
-       done)
-
 (* ------------------------------------------------------------------ *)
 (* SMT-LIB export                                                      *)
 
@@ -1443,64 +1412,6 @@ let test_scope_reuse () =
   Alcotest.(check int) "back at root" 0 (Solver.Scope.depth scope);
   Solver.clear_caches ()
 
-let test_incremental_on_off_equivalent () =
-  (* Incremental scope solving is an optimization: verdicts must match
-     the scratch pipeline on random queries issued through a scope. *)
-  let st = Random.State.make [| 48 |] in
-  let width = 4 in
-  Fun.protect
-    ~finally:(fun () ->
-        Solver.set_incremental true;
-        Solver.clear_caches ())
-    (fun () ->
-       for _ = 1 to 40 do
-         let x = Expr.fresh_var "inca" width in
-         let y = Expr.fresh_var "incb" width in
-         let rand_const () =
-           Expr.const (Bv.make ~width (Random.State.int64 st 16L))
-         in
-         let rand_cmp v =
-           match Random.State.int st 3 with
-           | 0 -> Expr.eq v (rand_const ())
-           | 1 -> Expr.ult v (rand_const ())
-           | _ -> Expr.ugt v (rand_const ())
-         in
-         let constraints =
-           List.init
-             (1 + Random.State.int st 4)
-             (fun _ ->
-                rand_cmp
-                  (let v = if Random.State.bool st then x else y in
-                   if Random.State.bool st then v else Expr.mul v v))
-         in
-         let scope = Solver.Scope.create () in
-         List.iter
-           (fun c ->
-              Solver.Scope.push scope;
-              Solver.Scope.assume scope c)
-           constraints;
-         Solver.set_incremental true;
-         Solver.clear_caches ();
-         let on =
-           match Solver.check ~scope constraints with
-           | Solver.Sat _ -> true
-           | Solver.Unsat -> false
-           | Solver.Unknown m -> Alcotest.failf "unknown (on): %s" m
-         in
-         Solver.set_incremental false;
-         Solver.clear_caches ();
-         let off =
-           match Solver.check ~scope constraints with
-           | Solver.Sat _ -> true
-           | Solver.Unsat -> false
-           | Solver.Unknown m -> Alcotest.failf "unknown (off): %s" m
-         in
-         if on <> off then
-           Alcotest.failf "incremental changed verdict (%b vs %b) on %s" on
-             off
-             (String.concat " & " (List.map Expr.to_string constraints))
-       done)
-
 let test_solver_timeout_budget_shared () =
   (* Regression for the per-query timeout contract: with a permanently
      stalling solver (each attempt burns up to 50ms) and 3 retries, a
@@ -1576,8 +1487,6 @@ let suite =
     ("solver: merged model soundness", `Quick, test_solver_merge_soundness);
     ("solver: per-slice cache accounting", `Quick,
      test_solver_slice_cache_accounting);
-    ("solver: independence on/off equivalence", `Quick,
-     test_independence_on_off_equivalent);
     ("solver: shifts and division", `Quick, test_solver_shifts_and_division);
     ("model: defaults", `Quick, test_model_defaults);
     ("smtlib: terms", `Quick, test_smtlib_terms);
@@ -1596,8 +1505,6 @@ let suite =
     ("sat: assumptions", `Quick, test_sat_assumptions);
     ("sat: perturb after growth", `Quick, test_sat_perturb_after_growth);
     ("scope: encoding reuse and sibling unsat", `Quick, test_scope_reuse);
-    ("solver: incremental on/off equivalence", `Quick,
-     test_incremental_on_off_equivalent);
     ("solver: retry budget is per-query", `Quick,
      test_solver_timeout_budget_shared);
   ]
